@@ -41,7 +41,6 @@ from .matrix_core import (
     kron,
     mat,
     solve_linear,
-    solve_sylvester_sum,
     vec,
 )
 from .memory_select import MemoryProbe, MemorySelection, NoStableMemoryError, select_memory
@@ -50,7 +49,6 @@ from .si_propagation import (
     MissingHistoryError,
     RelayHistory,
     ResidualSICovariance,
-    push_slot,
     residual_si_covariance,
     si_term_gates,
 )

@@ -77,8 +77,7 @@ class SlotOperators:
     source 2's estimate, and the transmit power; they do not depend on the
     receive matrices.  w_f0 is the desired-signal operator, w_f1/w_f2 the
     receive-side quadratic kernels, and w_f_scalar collects the noise and
-    source-loopback power picked up by the receive matrices.  w_r1..w_r4 (the
-    receive-subproblem operators) are populated when a beamformer is supplied.
+    source-loopback power picked up by the receive matrices.
     """
 
     g1: np.ndarray
@@ -94,10 +93,6 @@ class SlotOperators:
     h_r2: np.ndarray
     h_1r_prev: np.ndarray
     h_2r_prev: np.ndarray
-    w_r1: np.ndarray | None = None
-    w_r2: np.ndarray | None = None
-    w_r3: np.ndarray | None = None
-    w_r4: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -151,18 +146,11 @@ def build_slot_operators(
     r1: np.ndarray,
     r2: np.ndarray,
     cfg: SystemConfig,
-    f: np.ndarray | None = None,
-    g_core: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> SlotOperators:
-    """Assemble one slot's operators for the given receive matrices.
-
-    ``g_core`` lets callers reuse the receive-independent covariances across
-    alternation iterations.  When ``f`` is given, the receive-subproblem
-    operators w_r1..w_r4 are filled in as well.
-    """
+    """Assemble one slot's operators for the given receive matrices."""
     if ch_t.h_r1.shape != (cfg.n_s, cfg.n_r) or ch_prev.h_1r.shape != (cfg.n_r, cfg.n_s):
         raise ValueError("channel dimensions inconsistent with configuration")
-    g1, g2, gr = g_core if g_core is not None else relay_input_covariances(ch_prev, g_c, cfg)
+    g1, g2, gr = relay_input_covariances(ch_prev, g_c, cfg)
 
     b1 = r1.conj().T @ ch_t.h_r1  # R_1^H H_r1
     b2 = r2.conj().T @ ch_t.h_r2
@@ -170,26 +158,14 @@ def build_slot_operators(
     w_f2 = b2.conj().T @ b2
     w_f0 = cfg.p1 * ch_t.h_r2.conj().T @ r2 @ ch_prev.h_1r.conj().T \
         + cfg.p2 * ch_t.h_r1.conj().T @ r1 @ ch_prev.h_2r.conj().T
-    nu_1 = cfg.n_s * cfg.p1 * cfg.sigma_e_sq_1 + cfg.sigma_n_sq_1
-    nu_2 = cfg.n_s * cfg.p2 * cfg.sigma_e_sq_2 + cfg.sigma_n_sq_2
+    nu_1, nu_2 = cfg.nu
     w_f_scalar = nu_1 * frobenius_sq(r1) + nu_2 * frobenius_sq(r2)
-
-    w_r1 = w_r2 = w_r3 = w_r4 = None
-    if f is not None:
-        c1 = ch_t.h_r1 @ f
-        c2 = ch_t.h_r2 @ f
-        w_r1 = c1 @ ch_prev.h_2r
-        w_r2 = c2 @ ch_prev.h_1r
-        w_r3 = c1 @ g1 @ c1.conj().T + nu_1 * np.eye(cfg.n_s)
-        w_r4 = c2 @ g2 @ c2.conj().T + nu_2 * np.eye(cfg.n_s)
-
     return SlotOperators(
         g1=g1, g2=g2, gr=gr,
         w_f0=w_f0, w_f1=w_f1, w_f2=w_f2, w_f_scalar=w_f_scalar,
         nu_1=nu_1, nu_2=nu_2,
         h_r1=ch_t.h_r1, h_r2=ch_t.h_r2,
         h_1r_prev=ch_prev.h_1r, h_2r_prev=ch_prev.h_2r,
-        w_r1=w_r1, w_r2=w_r2, w_r3=w_r3, w_r4=w_r4,
     )
 
 
@@ -231,8 +207,7 @@ def solve_receive_beamformers(
     B is the source-l end-to-end forward channel H_rl F.  The composite
     estimator (1/alpha) R_l^H does not depend on alpha.
     """
-    nu_1 = cfg.n_s * cfg.p1 * cfg.sigma_e_sq_1 + cfg.sigma_n_sq_1
-    nu_2 = cfg.n_s * cfg.p2 * cfg.sigma_e_sq_2 + cfg.sigma_n_sq_2
+    nu_1, nu_2 = cfg.nu
     eye = np.eye(cfg.n_s)
     c1 = ch_t.h_r1 @ f
     c2 = ch_t.h_r2 @ f
@@ -310,6 +285,23 @@ class BatchDesign:
     iterations_used: np.ndarray
     j_trace: np.ndarray
 
+    def solution(self, index: int, cfg: SystemConfig) -> BeamformingSolution:
+        """Realization ``index`` as a :class:`BeamformingSolution`."""
+        f_bar, alpha, r = self.f_bar[index], float(self.alpha[index]), self.r[index]
+        used = int(self.iterations_used[index])
+        w_f_scalar = sum(nu * frobenius_sq(r_l) for nu, r_l in zip(cfg.nu, r))
+        return BeamformingSolution(
+            f_bar=f_bar,
+            alpha=alpha,
+            f=alpha * f_bar,
+            lam=w_f_scalar / (alpha**2 * (cfg.n_r * cfg.pr)),
+            r1=r[0],
+            r2=r[1],
+            j_value=float(self.j[index]),
+            iterations_used=used,
+            j_trace=tuple(float(v) for v in self.j_trace[: used + 1, index]),
+        )
+
 
 class SlotProblem:
     """One slot's design problem for a stack of realizations.
@@ -338,10 +330,7 @@ class SlotProblem:
         # left Kronecker factors of the relay system: G_1^T, G_2^T, G_r^T
         self.kron_left = np.swapaxes(np.concatenate([self.g, self.gr[:, None]], axis=1), -1, -2)
         self.p_bar = np.array([cfg.p2, cfg.p1])
-        self.nu = np.array([
-            cfg.n_s * cfg.p1 * cfg.sigma_e_sq_1 + cfg.sigma_n_sq_1,
-            cfg.n_s * cfg.p2 * cfg.sigma_e_sq_2 + cfg.sigma_n_sq_2,
-        ])
+        self.nu = np.array(cfg.nu)
         self.nu_eye = self.nu[:, None, None] * np.eye(cfg.n_s)
         self.p_bar_h_bar = self.p_bar[:, None, None] * self.h_bar
         # p_lbar conj(H_rl)[i, a] conj(H_lbar)[b, j] in the [b, a] layout of _NewtonModel
@@ -683,19 +672,4 @@ def alternate_optimize(
     (relay-only design).
     """
     problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
-    design = design_slot_batch(problem, pin_receive)
-    f_bar, alpha, r = design.f_bar[0], float(design.alpha[0]), design.r[0]
-    used = int(design.iterations_used[0])
-    power_budget = cfg.n_r * cfg.pr
-    w_f_scalar = sum(nu * frobenius_sq(r_l) for nu, r_l in zip(problem.nu, r))
-    return BeamformingSolution(
-        f_bar=f_bar,
-        alpha=alpha,
-        f=alpha * f_bar,
-        lam=w_f_scalar / (alpha**2 * power_budget),
-        r1=r[0],
-        r2=r[1],
-        j_value=float(design.j[0]),
-        iterations_used=used,
-        j_trace=tuple(float(v) for v in design.j_trace[: used + 1, 0]),
-    )
+    return design_slot_batch(problem, pin_receive).solution(0, cfg)

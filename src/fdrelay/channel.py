@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -74,6 +75,14 @@ class SystemConfig:
         if self.convergence_tol < 0:
             raise ValueError("convergence_tol must be nonnegative")
 
+    @property
+    def nu(self) -> tuple[float, float]:
+        """Noise plus source-loopback power at each source, n_s p_l sigma_el^2 + sigma_nl^2."""
+        return (
+            self.n_s * self.p1 * self.sigma_e_sq_1 + self.sigma_n_sq_1,
+            self.n_s * self.p2 * self.sigma_e_sq_2 + self.sigma_n_sq_2,
+        )
+
     def with_memory(self, memory) -> "SystemConfig":
         return replace(self, memory=memory)
 
@@ -82,9 +91,16 @@ class SystemConfig:
         return replace(self, sigma_e_sq_1=0.0, sigma_e_sq_2=0.0, sigma_e_sq_r=0.0)
 
 
+_CHANNEL_ARRAYS = ("h_1r", "h_2r", "h_r1", "h_r2", "delta_11", "delta_22", "delta_rr")
+
+
 @dataclass(frozen=True)
 class TimeSlotChannels:
-    """All channel and loopback-error realizations of one time slot."""
+    """All channel and loopback-error realizations of one time slot.
+
+    The batched code holds a stack of realizations in one instance, each
+    array with a leading realization axis (see :meth:`stack`).
+    """
 
     h_1r: np.ndarray  # source 1 -> relay, N_r x N_s
     h_2r: np.ndarray  # source 2 -> relay, N_r x N_s
@@ -103,6 +119,16 @@ class TimeSlotChannels:
             delta_22=np.zeros_like(self.delta_22),
             delta_rr=np.zeros_like(self.delta_rr),
         )
+
+    @classmethod
+    def stack(cls, draws: Sequence["TimeSlotChannels"]) -> "TimeSlotChannels":
+        """Draws of one slot stacked along a leading realization axis."""
+        arrays = {name: np.stack([getattr(d, name) for d in draws]) for name in _CHANNEL_ARRAYS}
+        return cls(**arrays, slot_index=draws[0].slot_index)
+
+    def realization(self, index: int) -> "TimeSlotChannels":
+        """Realization ``index`` of a stack built by :meth:`stack`."""
+        return replace(self, **{name: getattr(self, name)[index] for name in _CHANNEL_ARRAYS})
 
 
 def config_from_snr_inr(

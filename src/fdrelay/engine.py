@@ -1,30 +1,61 @@
-"""Vectorized Monte Carlo engine: all realizations of a grid point at once.
+"""Trajectory engine: the slot loop of every scheme, batched over realizations.
 
-Functionally identical to looping :func:`fdrelay.simulate.run_trajectory`
-over realizations (same substream draws, same update order), but with every
-linear-algebra step batched over the realization axis, which removes the
-Python-call overhead that dominates at these matrix sizes.  Each slot's joint
-design is :func:`fdrelay.beamforming.design_slot_batch`, the same routine
-the per-realization path calls with a batch of one: its damped-Newton
-iterations and early exit are applied per realization, and realizations that
-have converged leave the batch.  The residual-SI scale, the true-MSE
-evaluation and the rates are re-derived here in batched form; an equivalence
-test keeps them in lockstep with the per-realization path.
+One trajectory is one channel realization followed over ``slots`` time slots:
+slot 0 carries only the sources' first transmissions (the relay is silent),
+full-duplex operation starts in slot 1.  In each slot the residual-SI
+covariance is built from every earlier beamformer, the slot is designed with
+:func:`fdrelay.beamforming.design_slot_batch` and then scored.  Every step is
+batched over a stack of realizations, which removes the Python-call overhead
+that dominates at these matrix sizes.  :func:`run_trajectories_batch` runs
+realizations 0..R-1 of a grid point and :func:`fdrelay.simulate.run_trajectory`
+one realization with its designs; both go through the same loop.  The
+per-realization formulas in ``beamforming``, ``si_propagation`` and
+``metrics`` are independent references that the tests compare it against.
+
+Scheme semantics:
+
+* ``proposed``     - per-slot joint design with the residual-SI covariance
+                     built from the configured memory window;
+* ``conventional`` - same design with the residual-SI covariance forced to
+                     zero (current-slot channels only); the amplification is
+                     then recalibrated to the true transmit power budget, as
+                     an amplify-and-forward relay's gain control would (the
+                     design model knows nothing of the accumulated input
+                     power, but the power amplifier is still power-limited),
+                     and the receive matrices are re-derived at the
+                     calibrated beamformer;
+* ``relay_only``   - proposed relay design with receive matrices pinned to
+                     identity;
+* ``half_duplex``  - two-phase reference on the same channel draws.
+
+Reported per-slot MSE is always evaluated against the *untruncated* residual-
+SI covariance of the actually applied beamformers, so schemes and memory
+settings are compared on the error they really cause, not on the model each
+design believed.  Rates likewise use the realized error matrices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
-from .beamforming import SlotProblem, design_slot_batch
-from .channel import MEMORY_AUTO, MEMORY_INFINITE, SystemConfig, draw_slot_channels, slot_rng
+from .beamforming import BatchDesign, SlotProblem, design_slot_batch
+from .channel import (
+    MEMORY_AUTO,
+    MEMORY_INFINITE,
+    SystemConfig,
+    TimeSlotChannels,
+    draw_slot_channels,
+    slot_rng,
+)
 from .matrix_core import fro_sq, herm
-from .simulate import SCHEMES
 
-__all__ = ["BatchTrajectoryStats", "run_trajectories_batch"]
+__all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
+
+SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 
 
 @dataclass(frozen=True)
@@ -36,58 +67,51 @@ class BatchTrajectoryStats:
 
 
 @dataclass(frozen=True)
-class _StackedChannels:
-    h_1r: np.ndarray  # (R, n_r, n_s)
-    h_2r: np.ndarray
-    h_r1: np.ndarray  # (R, n_s, n_r)
-    h_r2: np.ndarray
-    delta_11: np.ndarray
-    delta_22: np.ndarray
-    delta_rr: np.ndarray
+class _Trajectories:
+    """Everything the slot loop produces for a stack of realizations.
 
-    def zero_error_copy(self) -> "_StackedChannels":
-        return _StackedChannels(
-            self.h_1r, self.h_2r, self.h_r1, self.h_r2,
-            np.zeros_like(self.delta_11),
-            np.zeros_like(self.delta_22),
-            np.zeros_like(self.delta_rr),
-        )
+    Row k of ``sum_mse`` and ``rates`` (the latter (slots, R, 2): the rates of
+    the streams decoded at source 1 and source 2) and ``designs[k]`` belong
+    to slot k+1; a design carries the applied amplification and receive
+    matrices (the calibrated ones for the conventional scheme).
+    ``channels[s]`` holds the stacked draws of slot s = 0..slots.
+    """
+
+    sum_mse: np.ndarray
+    rates: np.ndarray
+    designs: list[BatchDesign]
+    channels: list[TimeSlotChannels]
 
 
-def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: int) -> _StackedChannels:
-    draws = [
-        draw_slot_channels(cfg, slot_rng(seed, r, slot), slot) for r in range(realizations)
-    ]
-    return _StackedChannels(
-        h_1r=np.stack([d.h_1r for d in draws]),
-        h_2r=np.stack([d.h_2r for d in draws]),
-        h_r1=np.stack([d.h_r1 for d in draws]),
-        h_r2=np.stack([d.h_r2 for d in draws]),
-        delta_11=np.stack([d.delta_11 for d in draws]),
-        delta_22=np.stack([d.delta_22 for d in draws]),
-        delta_rr=np.stack([d.delta_rr for d in draws]),
+def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: Sequence[int]) -> TimeSlotChannels:
+    return TimeSlotChannels.stack(
+        [draw_slot_channels(cfg, slot_rng(seed, r, slot), slot) for r in realizations]
     )
 
 
-def _slot_problem(cfg: SystemConfig, ch_t: _StackedChannels, ch_prev: _StackedChannels,
+def _slot_problem(cfg: SystemConfig, ch_t: TimeSlotChannels, ch_prev: TimeSlotChannels,
                   g_c_scale: np.ndarray) -> SlotProblem:
     return SlotProblem(cfg, ch_t.h_r1, ch_t.h_r2, ch_prev.h_1r, ch_prev.h_2r, g_c_scale)
 
 
-def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r1, r2) -> np.ndarray:
-    """Batched sum rate given the relay-side interference factor.
+def _noise_block(cfg: SystemConfig, size: int) -> np.ndarray:
+    """Stacked Gram factor of the fresh relay noise, sigma_nr I."""
+    return math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(cfg.n_r), (size, cfg.n_r, cfg.n_r))
 
-    Covariances are carried as Gram factors and the rate is computed in the
+
+def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r) -> np.ndarray:
+    """Batched rates (R, 2) of the streams decoded at source 1 and source 2.
+
+    ``core_factor`` is the Gram factor of the relay-side interference.
+    Covariances are carried as Gram factors and each rate is computed in the
     whitened factor domain (see metrics.whitened_log_rate), which stays well
     conditioned when the amplified error chains grow geometrically.
     """
-    r = f_bar.shape[0]
     inv_alpha = (1.0 / alpha)[:, None, None]
-    eye_s = np.broadcast_to(np.eye(cfg.n_s), (r, cfg.n_s, cfg.n_s))
-    total = 0.0
+    rates = []
     for h_rl, h_other, delta_ll, p_own, p_other, sigma_n_sq, r_l in (
-        (ch_t.h_r1, ch_prev.h_2r, ch_t.delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, r1),
-        (ch_t.h_r2, ch_prev.h_1r, ch_t.delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, r2),
+        (ch_t.h_r1, ch_prev.h_2r, ch_t.delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, r[:, 0]),
+        (ch_t.h_r2, ch_prev.h_1r, ch_t.delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, r[:, 1]),
     ):
         rb = herm(r_l)
         noise_factor = np.concatenate(
@@ -104,19 +128,17 @@ def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r1
             raise np.linalg.LinAlgError("interference covariance is singular")
         y = (herm(p) @ signal_factor) / s_vals[..., None]
         gains = np.linalg.svd(y, compute_uv=False) ** 2
-        total = total + np.sum(np.log1p(gains), axis=-1) / math.log(2.0)
-    return total
+        rates.append(np.sum(np.log1p(gains), axis=-1) / math.log(2.0))
+    return np.stack(rates, axis=1)
 
 
-def _content_factor_batch(cfg: SystemConfig, ch: _StackedChannels) -> np.ndarray:
+def _content_factor_batch(cfg: SystemConfig, ch: TimeSlotChannels) -> np.ndarray:
     """Batched factor G with G G^H = p1 H1 H1^H + p2 H2 H2^H + sigma_nr^2 I."""
-    r = ch.h_1r.shape[0]
-    eye = np.broadcast_to(np.eye(cfg.n_r), (r, cfg.n_r, cfg.n_r))
     return np.concatenate(
         [
             math.sqrt(cfg.p1) * ch.h_1r,
             math.sqrt(cfg.p2) * ch.h_2r,
-            math.sqrt(cfg.sigma_n_sq_r) * eye,
+            _noise_block(cfg, len(ch.h_1r)),
         ],
         axis=2,
     )
@@ -147,46 +169,49 @@ def _design_si_scale(cfg, memory, t, f_norm_sq, content_trace, realizations) -> 
     return scale
 
 
-def run_trajectories_batch(
-    cfg: SystemConfig,
-    scheme: str,
-    slots: int,
-    seed: int,
-    realizations: int,
-) -> BatchTrajectoryStats:
-    """All realizations of one (config, scheme) trajectory, vectorized.
+def _half_duplex_slot(cfg: SystemConfig, ch_mac: TimeSlotChannels,
+                      ch_bc: TimeSlotChannels) -> tuple[BatchDesign, np.ndarray]:
+    """Two-phase two-way relaying reference on stacked draws: (design, rates (R, 2)).
 
-    Matches run_trajectory realization by realization: identical channel
-    draws, identical per-slot designs and metrics.
+    Both sources transmit in the first phase (``ch_mac`` inbound channels) and
+    the relay broadcasts in the second (``ch_bc`` outbound channels).  There is
+    no loopback self-interference, so the design is the single-slot MMSE
+    problem with all error variances zeroed; the rates carry the 1/2 prelog of
+    the two-slot exchange.
     """
+    cfg_hd = cfg.without_loopback_error()
+    mac, bc = ch_mac.zero_error_copy(), ch_bc.zero_error_copy()
+    size = len(mac.h_1r)
+    design = design_slot_batch(_slot_problem(cfg_hd, bc, mac, np.zeros(size)))
+    rates = _batch_rates(cfg_hd, bc, mac, _noise_block(cfg_hd, size), design.f_bar, design.alpha, design.r)
+    return design, 0.5 * rates
+
+
+def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
+                      realizations: Sequence[int]) -> _Trajectories:
+    """The slot loop for the realizations with the given indices, batched."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     if cfg.memory == MEMORY_AUTO:
         raise ValueError("memory 'auto' must be resolved (see select_memory) before simulation")
+    if slots < 1:
+        raise ValueError("need at least one full-duplex slot")
 
-    n_r = cfg.n_r
-    eye_r = np.eye(n_r)
+    size = len(realizations)
     channels = [_draw_stacked(cfg, seed, 0, realizations)]
-    sum_mse = np.empty((slots, realizations))
-    sum_rate = np.empty((slots, realizations))
-
-    noise_block = math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(
-        eye_r, (realizations, n_r, n_r)
-    )
+    sum_mse = np.empty((slots, size))
+    rates = np.empty((slots, size, 2))
+    designs: list[BatchDesign] = []
 
     if scheme == "half_duplex":
-        cfg_hd = cfg.without_loopback_error()
         for t in range(1, slots + 1):
             channels.append(_draw_stacked(cfg, seed, t, realizations))
-            mac = channels[t - 1].zero_error_copy()
-            bc = channels[t].zero_error_copy()
-            design = design_slot_batch(_slot_problem(cfg_hd, bc, mac, np.zeros(realizations)))
+            design, rates[t - 1] = _half_duplex_slot(cfg, channels[t - 1], channels[t])
             sum_mse[t - 1] = design.j
-            sum_rate[t - 1] = 0.5 * _batch_rates(
-                cfg_hd, bc, mac, noise_block, design.f_bar, design.alpha, design.r[:, 0], design.r[:, 1]
-            )
-        return BatchTrajectoryStats(sum_mse=sum_mse, sum_rate=sum_rate)
+            designs.append(design)
+        return _Trajectories(sum_mse, rates, designs, channels)
 
+    noise_block = _noise_block(cfg, size)
     pin_receive = scheme == "relay_only"
     f_norm_sq: list[np.ndarray] = []      # per past slot s: tr(F_s F_s^H)
     content_trace: list[np.ndarray] = []  # per past slot s: tr(F_s M_{s-1} F_s^H)
@@ -198,9 +223,9 @@ def run_trajectories_batch(
         ch_prev = channels[t - 1]
 
         if scheme == "conventional":
-            g_design = np.zeros(realizations)
+            g_design = np.zeros(size)
         else:
-            g_design = _design_si_scale(cfg, cfg.memory, t, f_norm_sq, content_trace, realizations)
+            g_design = _design_si_scale(cfg, cfg.memory, t, f_norm_sq, content_trace, size)
         problem = _slot_problem(cfg, ch_t, ch_prev, g_design)
         design = design_slot_batch(problem, pin_receive)
         f_bar, alpha, r = design.f_bar, design.alpha, design.r
@@ -208,7 +233,7 @@ def run_trajectories_batch(
         if scheme != "conventional" and cfg.memory == MEMORY_INFINITE:
             j_true = design.j
         else:
-            g_true = _design_si_scale(cfg, MEMORY_INFINITE, t, f_norm_sq, content_trace, realizations)
+            g_true = _design_si_scale(cfg, MEMORY_INFINITE, t, f_norm_sq, content_trace, size)
             true_problem = _slot_problem(cfg, ch_t, ch_prev, g_true)
             if scheme == "conventional":
                 # gain control: the true transmit power meets the budget even
@@ -217,8 +242,8 @@ def run_trajectories_batch(
                 alpha = true_problem.amplification(f_bar)
                 r = problem.wiener(alpha[:, None, None] * f_bar, alpha)[0]
             j_true = true_problem.objective(f_bar, alpha, r)
-        r1, r2 = r[:, 0], r[:, 1]
         sum_mse[t - 1] = j_true
+        designs.append(replace(design, alpha=alpha, r=r))
         f = alpha[:, None, None] * f_bar
 
         # Interference factor of this slot's relay input: fresh relay noise
@@ -229,7 +254,7 @@ def run_trajectories_batch(
         else:
             leak = ch_prev.delta_rr @ x_r_factor
             core_factor = np.concatenate([noise_block, leak], axis=2)
-        sum_rate[t - 1] = _batch_rates(cfg, ch_t, ch_prev, core_factor, f_bar, alpha, r1, r2)
+        rates[t - 1] = _batch_rates(cfg, ch_t, ch_prev, core_factor, f_bar, alpha, r)
 
         # Roll the trajectory state forward.
         relay_input_factor = _content_factor_batch(cfg, ch_prev)
@@ -243,4 +268,21 @@ def run_trajectories_batch(
             cfg.p1 * fro_sq(fh1) + cfg.p2 * fro_sq(fh2) + cfg.sigma_n_sq_r * fro_sq(f)
         )
 
-    return BatchTrajectoryStats(sum_mse=sum_mse, sum_rate=sum_rate)
+    return _Trajectories(sum_mse, rates, designs, channels)
+
+
+def run_trajectories_batch(
+    cfg: SystemConfig,
+    scheme: str,
+    slots: int,
+    seed: int,
+    realizations: int,
+) -> BatchTrajectoryStats:
+    """Realizations 0..``realizations``-1 of one (config, scheme) trajectory, vectorized.
+
+    Each realization's results do not depend on how many run alongside it:
+    channel draws are keyed by (seed, realization, slot) and every design
+    and metric is computed per realization.
+    """
+    out = _run_trajectories(cfg, scheme, slots, seed, range(realizations))
+    return BatchTrajectoryStats(sum_mse=out.sum_mse, sum_rate=out.rates[..., 0] + out.rates[..., 1])

@@ -11,7 +11,6 @@ sweep.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import hashlib
 import json
@@ -22,9 +21,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel import MEMORY_AUTO, MEMORY_INFINITE, config_from_snr_inr
-from .engine import run_trajectories_batch
+from .engine import SCHEMES, run_trajectories_batch
 from .memory_select import select_memory
-from .simulate import SCHEMES
 
 __all__ = [
     "SweepSpec",
@@ -181,10 +179,30 @@ def _grid_point_task(args):
     return run_grid_point(spec, snr_db, inr_db, scheme)
 
 
-def _worker_init():
-    # Tasks are small dense kernels; keep BLAS from oversubscribing workers.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    os.environ.setdefault("OMP_NUM_THREADS", "1")
+# Tasks are small dense kernels, so each worker runs one BLAS thread.
+_WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+
+def _worker_pool(jobs: int) -> "multiprocessing.pool.Pool":
+    """A pool of ``jobs`` freshly started processes, each with one BLAS thread.
+
+    OpenBLAS reads its thread count once, when it loads, and a forked worker
+    inherits the parent's already loaded copy.  The workers are therefore
+    spawned, and ``_WORKER_ENV`` is in this process's environment only while
+    they start (the pool starts all of them in its constructor).
+    """
+    import multiprocessing  # only parallel sweeps pay for loading it
+
+    saved = {name: os.environ.get(name) for name in _WORKER_ENV}
+    os.environ.update(_WORKER_ENV)
+    try:
+        return multiprocessing.get_context("spawn").Pool(jobs)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
@@ -218,13 +236,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
                 record_outcome(task, None, exc)
         return result
 
-    with concurrent.futures.ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init
-    ) as pool:
-        futures = [pool.submit(_grid_point_task, task) for task in tasks]
-        for task, future in zip(tasks, futures):
+    with _worker_pool(jobs) as pool:
+        pending = [pool.apply_async(_grid_point_task, (task,)) for task in tasks]
+        for task, outcome in zip(tasks, pending):
             try:
-                record_outcome(task, future.result(), None)
+                record_outcome(task, outcome.get(), None)
             except Exception as exc:  # noqa: BLE001
                 record_outcome(task, None, exc)
     return result

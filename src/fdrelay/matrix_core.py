@@ -18,7 +18,6 @@ __all__ = [
     "mat",
     "kron",
     "solve_linear",
-    "solve_sylvester_sum",
     "chained_error_trace_mean",
     "frobenius_sq",
     "herm",
@@ -144,28 +143,6 @@ def solve_linear(k: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)) or np.linalg.norm(b - k @ x) > _RESIDUAL_LIMIT * b_norm:
         raise SingularSystemError(condition, "residual target unreachable")
     return x
-
-
-def solve_sylvester_sum(pairs, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``sum_i A_i X B_i = C`` by vectorization.
-
-    ``pairs`` is an iterable of ``(A_i, B_i)`` with A_i square of the row
-    dimension of C and B_i square of its column dimension.  The vectorized
-    system matrix is ``sum_i (B_i^T kron A_i)``.
-    """
-    rhs = np.asarray(rhs, dtype=complex)
-    rows, cols = rhs.shape
-    k = np.zeros((rows * cols, rows * cols), dtype=complex)
-    for a_i, b_i in pairs:
-        a_i = np.asarray(a_i, dtype=complex)
-        b_i = np.asarray(b_i, dtype=complex)
-        if a_i.shape != (rows, rows) or b_i.shape != (cols, cols):
-            raise ValueError(
-                f"coefficient shapes {a_i.shape}/{b_i.shape} incompatible with rhs {rhs.shape}"
-            )
-        k += np.kron(b_i.T, a_i)
-    x = solve_linear(k, vec(rhs))
-    return mat(x, rows, cols)
 
 
 def chained_error_trace_mean(v_list, sigma_sq: float) -> float:

@@ -5,19 +5,21 @@ noise covariance seen by each source contains the *realized* loopback error
 matrices (its own current one and the relay's past ones through the amplified
 chains), while symbols and thermal noises are averaged analytically.  Ensemble
 averages are taken by the sweep harness across channel realizations.
+:func:`achievable_sum_rate` rebuilds those chains for one realization; it is
+the reference for the rates the engine carries forward slot by slot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .beamforming import BeamformingSolution, alternate_optimize
+from .beamforming import BeamformingSolution
 from .channel import SystemConfig, TimeSlotChannels
-from .si_propagation import ResidualSICovariance
+from .engine import _half_duplex_slot
 
 __all__ = [
     "SlotMetrics",
@@ -133,23 +135,23 @@ def half_duplex_reference(
     """Two-phase two-way relaying baseline on the same channel draws.
 
     Both sources transmit in the first phase (``ch_mac`` inbound channels) and
-    the relay broadcasts in the second (``ch_bc`` outbound channels).  There is
-    no loopback self-interference, so the design is the single-slot MMSE
-    problem with all error variances zeroed; the sum rate carries the 1/2
-    prelog of the two-slot exchange.
+    the relay broadcasts in the second (``ch_bc`` outbound channels): the
+    engine's half-duplex slot step for a stack of one.  There is no loopback
+    self-interference, so the design is the single-slot MMSE problem with all
+    error variances zeroed; the sum rate carries the 1/2 prelog of the
+    two-slot exchange.
     """
-    cfg_hd = cfg.without_loopback_error()
-    mac = replace(ch_mac.zero_error_copy(), slot_index=0)
-    bc = replace(ch_bc.zero_error_copy(), slot_index=1)
-    solution = alternate_optimize(bc, mac, ResidualSICovariance.zero(cfg.n_r), cfg_hd)
-    full = achievable_sum_rate([mac, bc], [solution.f], solution, cfg_hd, scheme="half_duplex")
+    design, rates = _half_duplex_slot(
+        cfg, TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc])
+    )
+    rate_1, rate_2 = rates[0]
     return SlotMetrics(
         slot_index=ch_bc.slot_index,
         scheme="half_duplex",
-        sum_mse=solution.j_value,
-        sum_rate=0.5 * full.sum_rate,
-        rate_1=0.5 * full.rate_1,
-        rate_2=0.5 * full.rate_2,
+        sum_mse=float(design.j[0]),
+        sum_rate=float(rate_1 + rate_2),
+        rate_1=float(rate_1),
+        rate_2=float(rate_2),
     )
 
 

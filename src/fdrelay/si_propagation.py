@@ -19,11 +19,15 @@ place of the forgotten ones.  Three gates select which chain groups exist:
 
 The covariance is exactly a nonnegative scalar times I, so it is stored by its
 scalar with a matrix view for generic code paths.
+
+This module is the per-realization reference for the scale; the simulator
+computes it batched over realizations in :mod:`fdrelay.engine`.  The history
+keeps every pushed slot: a finite design memory truncates the covariance
+model, not the record.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +42,6 @@ __all__ = [
     "ResidualSICovariance",
     "si_term_gates",
     "residual_si_covariance",
-    "push_slot",
 ]
 
 
@@ -68,28 +71,14 @@ class HistoryEntry:
 class RelayHistory:
     """Ordered, contiguous record of finalized relay beamformers.
 
-    Single-writer per simulation trajectory.  With finite ``capacity`` the
-    oldest entry is evicted on push; entries are only appended once the slot's
-    beamformer is final, so the covariance seen inside one slot's optimization
-    is frozen.
+    The first pushed slot may be any slot; later pushes must follow it
+    without gaps.  Entries are only appended once the slot's beamformer is
+    final, so the covariance seen inside one slot's optimization is frozen.
     """
 
-    def __init__(self, n_r: int, capacity: int | float = MEMORY_INFINITE):
-        if capacity != MEMORY_INFINITE and (not float(capacity).is_integer() or capacity < 1):
-            raise ValueError("capacity must be a positive integer or infinite")
+    def __init__(self, n_r: int):
         self.n_r = int(n_r)
-        self.capacity = capacity
-        self._entries: OrderedDict[int, HistoryEntry] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, slot: int) -> bool:
-        return slot in self._entries
-
-    @property
-    def slots(self) -> list[int]:
-        return list(self._entries.keys())
+        self._entries: dict[int, HistoryEntry] = {}
 
     @property
     def next_slot(self) -> int:
@@ -116,15 +105,7 @@ class RelayHistory:
         self._entries[slot] = HistoryEntry(
             slot=slot, f=f, h_1r=h_1r_prev, h_2r=h_2r_prev, f_norm_sq=frobenius_sq(f)
         )
-        while self.capacity != MEMORY_INFINITE and len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
         return self
-
-
-def push_slot(history: RelayHistory, f: np.ndarray, h_1r_prev: np.ndarray,
-              h_2r_prev: np.ndarray, slot: int | None = None) -> RelayHistory:
-    """Append a finalized beamformer; evicts the oldest entry at capacity."""
-    return history.push(history.next_slot if slot is None else slot, f, h_1r_prev, h_2r_prev)
 
 
 @dataclass(frozen=True)
@@ -178,7 +159,8 @@ def residual_si_covariance(
 
     ``t`` defaults to the slot after the last pushed entry; ``memory``
     defaults to the configured value.  Raises :class:`MissingHistoryError`
-    when a gated term needs a slot the history no longer (or never) holds.
+    when a gated term needs a slot the history does not hold, such as one
+    before its first entry.
     """
     if t is None:
         t = history.next_slot

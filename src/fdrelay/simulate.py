@@ -1,77 +1,21 @@
-"""Single-trajectory Monte Carlo driver.
+"""Single-trajectory entry point.
 
-One trajectory is one channel realization followed over ``slots`` time slots:
-slot 0 carries only the sources' first transmissions (the relay is silent),
-full-duplex operation starts in slot 1.  Scheme semantics:
-
-* ``proposed``     - per-slot joint design with the residual-SI covariance
-                     built from the configured memory window;
-* ``conventional`` - same design with the residual-SI covariance forced to
-                     zero (current-slot channels only); the amplification is
-                     then recalibrated to the true transmit power budget, as
-                     an amplify-and-forward relay's gain control would (the
-                     design model knows nothing of the accumulated input
-                     power, but the power amplifier is still power-limited),
-                     and the receive matrices are re-derived at the
-                     calibrated beamformer;
-* ``relay_only``   - proposed relay design with receive matrices pinned to
-                     identity;
-* ``half_duplex``  - two-phase reference on the same channel draws.
-
-Reported per-slot MSE is always evaluated against the *untruncated* residual-
-SI covariance of the actually applied beamformers, so schemes and memory
-settings are compared on the error they really cause, not on the model each
-design believed.  Rates likewise use the realized error matrices.
+:func:`run_trajectory` runs one channel realization through the engine's slot
+loop (:mod:`fdrelay.engine`, which also documents the schemes) as a stack of
+one, and returns its per-slot metrics together with the designs and channel
+draws that produced them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-import numpy as np
-
-from .beamforming import (
-    BeamformingSolution,
-    alternate_optimize,
-    build_slot_operators,
-    evaluate_sum_mse,
-    relay_input_covariances,
-    solve_receive_beamformers,
-)
-from .channel import (
-    MEMORY_AUTO,
-    MEMORY_INFINITE,
-    SystemConfig,
-    TimeSlotChannels,
-    draw_slot_channels,
-    slot_rng,
-)
-from .metrics import SlotMetrics, achievable_sum_rate, half_duplex_reference
-from .si_propagation import RelayHistory, ResidualSICovariance, residual_si_covariance
+from .beamforming import BeamformingSolution
+from .channel import SystemConfig, TimeSlotChannels
+from .engine import SCHEMES, _run_trajectories
+from .metrics import SlotMetrics
 
 __all__ = ["SCHEMES", "TrajectoryResult", "run_trajectory"]
-
-SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
-
-
-def _recalibrate_power(solution, ch_t, ch_prev, g_true, cfg):
-    """Rescale the amplification so the true transmit power meets the budget.
-
-    The steering matrix stays as designed; the scalar amplification (known to
-    the sources through the protocol) absorbs the difference between the
-    design's modeled input covariance and the real one, and the receive
-    matrices are re-derived from the design's own closed form at the
-    calibrated beamformer so the estimator stays scale-coherent.
-    """
-    gr_true = relay_input_covariances(ch_prev, g_true, cfg)[2]
-    gain = float(np.real(np.trace(solution.f_bar @ gr_true @ solution.f_bar.conj().T)))
-    alpha = float(np.sqrt(cfg.n_r * cfg.pr / gain))
-    f = alpha * solution.f_bar
-    g1_model, g2_model, _ = relay_input_covariances(
-        ch_prev, ResidualSICovariance.zero(cfg.n_r), cfg
-    )
-    r1, r2 = solve_receive_beamformers(ch_t, ch_prev, f, alpha, g1_model, g2_model, cfg)
-    return replace(solution, alpha=alpha, f=f, r1=r1, r2=r2)
 
 
 @dataclass(frozen=True)
@@ -79,7 +23,10 @@ class TrajectoryResult:
     """Per-slot metrics plus the designs and draws that produced them.
 
     ``solutions`` is empty for the half-duplex scheme (its per-slot design is
-    internal to the reference construction).
+    internal to the reference construction).  For the conventional scheme a
+    solution carries the calibrated amplification and receive matrices, while
+    ``j_value``, ``j_trace`` and ``iterations_used`` describe the design on
+    its own (zero residual-SI) model.
     """
 
     metrics: tuple[SlotMetrics, ...]
@@ -100,53 +47,21 @@ def run_trajectory(
     scheme or memory setting, so different schemes at the same seed see
     identical channels (paired comparisons).
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if cfg.memory == MEMORY_AUTO:
-        raise ValueError("memory 'auto' must be resolved (see select_memory) before simulation")
-    if slots < 1:
-        raise ValueError("need at least one full-duplex slot")
-
-    channels = [draw_slot_channels(cfg, slot_rng(seed, realization, 0), 0)]
-    history = RelayHistory(cfg.n_r, capacity=MEMORY_INFINITE)
-    beamformers: list[np.ndarray] = []
-    metrics: list[SlotMetrics] = []
-    solutions: list[BeamformingSolution] = []
-
-    for t in range(1, slots + 1):
-        ch_t = draw_slot_channels(cfg, slot_rng(seed, realization, t), t)
-        channels.append(ch_t)
-        ch_prev = channels[t - 1]
-
-        if scheme == "half_duplex":
-            metrics.append(half_duplex_reference(ch_prev, ch_t, cfg))
-            continue
-
-        if scheme == "conventional":
-            g_design = ResidualSICovariance.zero(cfg.n_r)
-        else:
-            g_design = residual_si_covariance(history, cfg, t=t)
-        solution = alternate_optimize(
-            ch_t, ch_prev, g_design, cfg, pin_receive=(scheme == "relay_only")
+    out = _run_trajectories(cfg, scheme, slots, seed, [realization])
+    metrics = tuple(
+        SlotMetrics(
+            slot_index=t,
+            scheme=scheme,
+            sum_mse=float(out.sum_mse[t - 1, 0]),
+            sum_rate=float(rate_1 + rate_2),
+            rate_1=float(rate_1),
+            rate_2=float(rate_2),
         )
-
-        if scheme != "conventional" and cfg.memory == MEMORY_INFINITE:
-            j_true = solution.j_value
-        else:
-            g_true = residual_si_covariance(history, cfg, t=t, memory=MEMORY_INFINITE)
-            if scheme == "conventional":
-                solution = _recalibrate_power(solution, ch_t, ch_prev, g_true, cfg)
-            ops_true = build_slot_operators(ch_t, ch_prev, g_true, solution.r1, solution.r2, cfg)
-            j_true = evaluate_sum_mse(
-                ops_true, solution.f_bar, solution.alpha, solution.r1, solution.r2, cfg
-            )
-        beamformers.append(solution.f)
-
-        slot_metrics = achievable_sum_rate(channels, beamformers, solution, cfg, scheme=scheme)
-        metrics.append(replace(slot_metrics, sum_mse=j_true))
-        solutions.append(solution)
-        history.push(t, solution.f, ch_prev.h_1r, ch_prev.h_2r)
-
+        for t, (rate_1, rate_2) in enumerate(out.rates[:, 0], start=1)
+    )
+    solutions = () if scheme == "half_duplex" else tuple(d.solution(0, cfg) for d in out.designs)
     return TrajectoryResult(
-        metrics=tuple(metrics), solutions=tuple(solutions), channels=tuple(channels)
+        metrics=metrics,
+        solutions=solutions,
+        channels=tuple(ch.realization(0) for ch in out.channels),
     )

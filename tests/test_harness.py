@@ -1,8 +1,13 @@
+import ctypes
+import glob
 import json
 import math
+import os
+import sys
 
 import pytest
 
+from fdrelay import harness
 from fdrelay.harness import (
     SweepRecord,
     SweepResult,
@@ -130,6 +135,37 @@ def test_parallel_equals_serial(tmp_path):
     emit_results(serial, "csv", str(p1))
     emit_results(parallel, "csv", str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# (package, bundled-library directory, file pattern, thread-count symbol)
+_OPENBLAS = (
+    ("numpy", "numpy.libs", "libscipy_openblas64_*.so*", "scipy_openblas_get_num_threads64_"),
+    ("scipy", "scipy.libs", "libscipy_openblas-*.so*", "scipy_openblas_get_num_threads"),
+)
+
+
+def _openblas_threads():
+    """Thread counts of the OpenBLAS copies bundled with numpy and scipy, asked through ctypes."""
+    import scipy.linalg  # noqa: F401 - loads scipy's copy
+
+    counts = {}
+    for package, libs_dir, pattern, symbol in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(sys.modules[package].__file__))
+        paths = sorted(glob.glob(os.path.join(site, libs_dir, pattern)))
+        if paths:
+            get_threads = getattr(ctypes.CDLL(paths[0]), symbol)
+            get_threads.argtypes = []
+            get_threads.restype = ctypes.c_int
+            counts[package] = get_threads()
+    return counts
+
+
+def test_sweep_workers_run_one_blas_thread():
+    if len(_openblas_threads()) != len(_OPENBLAS):
+        pytest.skip("numpy's or scipy's bundled OpenBLAS not found")
+    with harness._worker_pool(2) as pool:
+        counts = pool.apply_async(_openblas_threads).get(timeout=60)
+    assert counts == {"numpy": 1, "scipy": 1}
 
 
 def test_auto_memory_records_selection():

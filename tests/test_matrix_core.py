@@ -10,7 +10,6 @@ from fdrelay.matrix_core import (
     kron,
     mat,
     solve_linear,
-    solve_sylvester_sum,
     vec,
 )
 
@@ -107,14 +106,6 @@ def test_solve_near_singular_reports_condition():
 def test_solve_zero_rhs_gives_zero(rng):
     k = _cmat(rng, 4, 4)
     assert np.array_equal(solve_linear(k, np.zeros(4, dtype=complex)), np.zeros(4))
-
-
-def test_sylvester_sum_matches_direct_construction(rng):
-    pairs = [(_cmat(rng, 3, 3), _cmat(rng, 2, 2)) for _ in range(3)]
-    rhs = _cmat(rng, 3, 2)
-    x = solve_sylvester_sum(pairs, rhs)
-    reconstructed = sum(a @ x @ b for a, b in pairs)
-    assert np.allclose(reconstructed, rhs, atol=1e-11)
 
 
 def test_chained_error_trace_identity_matrices():

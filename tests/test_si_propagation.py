@@ -9,7 +9,6 @@ from fdrelay.si_propagation import (
     MissingHistoryError,
     RelayHistory,
     ResidualSICovariance,
-    push_slot,
     residual_si_covariance,
     si_term_gates,
 )
@@ -96,36 +95,10 @@ def test_truncated_memory_changes_covariance(small_cfg, rng):
     assert g_1.scale != pytest.approx(g_inf.scale, rel=1e-6)
 
 
-def test_capacity_limited_history_matches_memory_override(small_cfg, rng):
-    m = 2
-    t = 6
-    unbounded = _filled_history(small_cfg, rng, t - 1)
-    capped = RelayHistory(small_cfg.n_r, capacity=m)
-    for s in range(1, t):
-        e = unbounded.entry(s)
-        capped.push(s, e.f, e.h_1r, e.h_2r)
-    g_capped = residual_si_covariance(capped, small_cfg, t=t, memory=m)
-    g_override = residual_si_covariance(unbounded, small_cfg, t=t, memory=m)
-    assert g_capped.scale == pytest.approx(g_override.scale, rel=1e-14)
-
-
-def test_eviction_and_contiguity(small_cfg, rng):
-    history = RelayHistory(small_cfg.n_r, capacity=2)
-    for s in range(1, 4):
-        push_slot(history, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
-    assert history.slots == [2, 3]
-    assert 1 not in history
-    with pytest.raises(MissingHistoryError) as excinfo:
-        history.entry(1)
-    assert excinfo.value.slot == 1
-    assert "slot 1" in str(excinfo.value)
-
-
 def test_unbounded_history_retains_everything(small_cfg, rng):
-    history = RelayHistory(small_cfg.n_r)
-    for _ in range(10):
-        push_slot(history, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
-    assert len(history) == 10
+    history = _filled_history(small_cfg, rng, 10)
+    assert history.next_slot == 11
+    assert [history.entry(s).slot for s in range(1, 11)] == list(range(1, 11))
 
 
 def test_push_rejects_wrong_shape(small_cfg, rng):
@@ -142,13 +115,14 @@ def test_push_rejects_gap(small_cfg, rng):
 
 
 def test_missing_history_error_names_needed_slot(small_cfg, rng):
-    history = RelayHistory(small_cfg.n_r, capacity=1)
-    for s in range(1, 4):
-        push_slot(history, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
-    # window term at memory 2 needs slot 2, which capacity 1 evicted
+    history = RelayHistory(small_cfg.n_r)
+    for s in (2, 3):
+        history.push(s, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
+    # the depth-3 chain of slot 4 starts from slot 1, which the history never held
     with pytest.raises(MissingHistoryError) as excinfo:
-        residual_si_covariance(history, small_cfg, t=4, memory=2)
-    assert excinfo.value.slot == 2
+        residual_si_covariance(history, small_cfg, t=4)
+    assert excinfo.value.slot == 1
+    assert "slot 1" in str(excinfo.value)
 
 
 def test_zero_covariance_helper(small_cfg):

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from fdrelay.beamforming import (
+    build_slot_operators,
+    evaluate_sum_mse,
+    relay_input_covariances,
+    solve_receive_beamformers,
+)
 from fdrelay.channel import config_from_snr_inr
 from fdrelay.engine import run_trajectories_batch
+from fdrelay.metrics import achievable_sum_rate
+from fdrelay.si_propagation import RelayHistory, ResidualSICovariance, residual_si_covariance
 from fdrelay.simulate import run_trajectory
 
 
@@ -112,3 +120,49 @@ def test_batched_engine_respects_convergence_tolerance():
             [m.sum_mse for m in reference.metrics],
             rtol=1e-12,
         )
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "conventional", "relay_only"])
+@pytest.mark.parametrize("memory", [math.inf, 2])
+def test_trajectory_matches_per_realization_formulas(scheme, memory):
+    # every slot of the engine's loop, rebuilt from the per-realization reference formulas
+    cfg = config_from_snr_inr(3.0, 4.0, n_s=2, n_r=3).with_memory(memory)
+    traj = run_trajectory(cfg, scheme, slots=5, seed=13, realization=1)
+    channels, solutions = traj.channels, traj.solutions
+    zero = ResidualSICovariance.zero(cfg.n_r)
+    budget = cfg.n_r * cfg.pr
+    history = RelayHistory(cfg.n_r)
+
+    def close(value, reference):
+        return abs(value - reference) <= 1e-10 * abs(reference)
+
+    for t, (sol, metrics) in enumerate(zip(solutions, traj.metrics), start=1):
+        ch_t, ch_prev = channels[t], channels[t - 1]
+        g_true = residual_si_covariance(history, cfg, t=t, memory=math.inf)
+        ops_true = build_slot_operators(ch_t, ch_prev, g_true, sol.r1, sol.r2, cfg)
+        assert close(metrics.sum_mse, evaluate_sum_mse(ops_true, sol.f_bar, sol.alpha, sol.r1, sol.r2, cfg))
+
+        rate = achievable_sum_rate(channels[: t + 1], [s.f for s in solutions[:t]], sol, cfg)
+        for value, reference in ((metrics.sum_rate, rate.sum_rate), (metrics.rate_1, rate.rate_1),
+                                 (metrics.rate_2, rate.rate_2)):
+            assert close(value, reference)
+
+        if scheme == "conventional":
+            g1_model, g2_model, gr_model = relay_input_covariances(ch_prev, zero, cfg)
+            gr_true = relay_input_covariances(ch_prev, g_true, cfg)[2]
+            power = np.real(np.trace(sol.f @ gr_true @ sol.f.conj().T))
+            assert close(power, budget)
+            r1, r2 = solve_receive_beamformers(ch_t, ch_prev, sol.f, sol.alpha, g1_model, g2_model, cfg)
+            assert np.linalg.norm(sol.r1 - r1) <= 1e-10 * np.linalg.norm(r1)
+            assert np.linalg.norm(sol.r2 - r2) <= 1e-10 * np.linalg.norm(r2)
+            # j_value is the design's own objective: zero residual SI, power met on that model
+            alpha = np.sqrt(budget / np.real(np.trace(sol.f_bar @ gr_model @ sol.f_bar.conj().T)))
+            r1, r2 = solve_receive_beamformers(ch_t, ch_prev, alpha * sol.f_bar, alpha, g1_model, g2_model, cfg)
+            g_design = zero
+        else:
+            alpha, r1, r2 = sol.alpha, sol.r1, sol.r2
+            g_design = residual_si_covariance(history, cfg, t=t)
+        ops_design = build_slot_operators(ch_t, ch_prev, g_design, r1, r2, cfg)
+        assert close(sol.j_value, evaluate_sum_mse(ops_design, sol.f_bar, alpha, r1, r2, cfg))
+
+        history.push(t, sol.f, ch_prev.h_1r, ch_prev.h_2r)
