@@ -7,7 +7,11 @@ solution:
 
 * relay step: the stationarity system
       W_f1 Fb G_1 + W_f2 Fb G_2 + w_f / (n_r pr) * Fb G_r = W_f0
-  is solved in vectorized form; the solution is renormalized to unit Frobenius
+  is solved in its structured form (:class:`RelaySystem`: a Sylvester
+  operator plus a rank-2 n_s^2 correction, inverted by the Woodbury
+  identity at O(n_r^3) per system; the n_r^2 x n_r^2 Kronecker form is only
+  the per-realization reference and the fallback when the structured solution
+  misses its residual check); the solution is renormalized to unit Frobenius
   norm with alpha restored from the transmit power constraint
   tr(F G_r F^H) = n_r pr (the physical F is invariant to that rescaling);
 * receive step: per-source regularized Wiener inverse.
@@ -27,9 +31,9 @@ the objective trace stays non-increasing.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +45,7 @@ __all__ = [
     "BatchDesign",
     "DegenerateObjectiveError",
     "SlotProblem",
+    "RelaySystem",
     "SlotOperators",
     "RelaySolution",
     "BeamformingSolution",
@@ -53,7 +58,7 @@ __all__ = [
 ]
 
 
-# Batched solves whose relative residual exceeds this are redone by solve_linear.
+# Relay steps whose relative residual exceeds this are redone by solve_linear.
 _SOLVE_RESIDUAL_LIMIT = 1e-10
 
 # Blend weights tried around the current one at every accelerated iteration.
@@ -178,13 +183,11 @@ def solve_relay_beamformer(ops: SlotOperators, cfg: SystemConfig) -> RelaySoluti
     """
     if not np.any(ops.w_f0):
         raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
-    n_r = cfg.n_r
-    power_budget = n_r * cfg.pr
-    k = kron(ops.g1.T, ops.w_f1) + kron(ops.g2.T, ops.w_f2) \
-        + kron(ops.gr.T, (ops.w_f_scalar / power_budget) * np.eye(n_r))
-    raw = solve_linear(k, vec(ops.w_f0))
+    power_budget = cfg.n_r * cfg.pr
+    raw = _dense_relay_solve((ops.g1, ops.g2), ops.gr, (ops.w_f1, ops.w_f2),
+                             ops.w_f_scalar / power_budget, ops.w_f0)
     prenorm_scale = float(np.linalg.norm(raw))
-    f_bar = mat(raw, n_r, n_r) / prenorm_scale
+    f_bar = raw / prenorm_scale
     gain = float(np.real(np.trace(f_bar @ ops.gr @ f_bar.conj().T)))
     if gain <= 0.0:
         raise ValueError("tr(F G_r F^H) <= 0: relay input covariance is corrupt")
@@ -245,16 +248,6 @@ def evaluate_sum_mse(
     return cfg.n_s * (cfg.p1 + cfg.p2) - cross / alpha + quad / alpha**2
 
 
-def _vec(x: np.ndarray) -> np.ndarray:
-    """Column-stacked vec of the last two axes (batched)."""
-    return x.swapaxes(-1, -2).reshape(x.shape[:-2] + (-1,))
-
-
-def _mat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`_vec` for n x n matrices (batched)."""
-    return v.reshape(v.shape[:-1] + (n, n)).swapaxes(-1, -2)
-
-
 def _receive_coords(z: np.ndarray) -> np.ndarray:
     """Real coordinates of receive-matrix pairs (..., 2, n_s, n_s).
 
@@ -303,39 +296,44 @@ class BatchDesign:
         )
 
 
+@dataclass(eq=False)
 class SlotProblem:
     """One slot's design problem for a stack of realizations.
 
-    Arrays carry the realization axis first and, where the two receivers
-    differ, a receiver axis l (0: source 1, 1: source 2) second: ``h`` holds
-    H_r1, H_r2 (n_s x n_r), ``h_bar`` the previous slot's inbound channel of
-    the *other* source (H_2r for source 1, H_1r for source 2), ``g`` the
-    relay-input covariances G_1, G_2 seen by each estimate and ``gr`` the one
-    of the transmit power.
+    The fields after ``cfg`` are the per-realization inputs, realization axis
+    first.  Every other array is derived from them, so :meth:`subset`, which
+    restricts the fields and derives the rest again, cannot leave one at the
+    full batch.  Derived arrays carry, where the two receivers differ, a
+    receiver axis l (0: source 1, 1: source 2) second: ``h`` holds H_r1, H_r2
+    (n_s x n_r), ``h_bar`` the previous slot's inbound channel of the *other*
+    source (H_2r for source 1, H_1r for source 2), ``g`` the relay-input
+    covariances G_1, G_2 seen by each estimate and ``gr`` the one of the
+    transmit power.
     """
 
-    def __init__(self, cfg: SystemConfig, h_r1, h_r2, h_1r_prev, h_2r_prev, g_c_scale):
-        self.cfg = cfg
+    cfg: SystemConfig
+    h_r1: np.ndarray
+    h_r2: np.ndarray
+    h_1r_prev: np.ndarray
+    h_2r_prev: np.ndarray
+    g_c_scale: np.ndarray
+
+    def __post_init__(self):
+        cfg = self.cfg
         n_r = cfg.n_r
-        self.h = np.stack([h_r1, h_r2], axis=1)
-        self.h_bar = np.stack([h_2r_prev, h_1r_prev], axis=1)
-        self.h_h = herm(self.h)
-        self.h_bar_h = herm(self.h_bar)
-        self.h_conj = np.conj(self.h)[:, :, :, None, None, :]
-        hh1 = cfg.p1 * (h_1r_prev @ herm(h_1r_prev))
-        hh2 = cfg.p2 * (h_2r_prev @ herm(h_2r_prev))
-        base = (np.asarray(g_c_scale) + cfg.sigma_n_sq_r)[:, None, None] * np.eye(n_r)
+        self.g_c_scale = np.asarray(self.g_c_scale)
+        self.h = np.stack([self.h_r1, self.h_r2], axis=1)
+        self.h_bar = np.stack([self.h_2r_prev, self.h_1r_prev], axis=1)
+        self.h_conj = np.conj(self.h)[:, :, :, None, :, None]
+        hh1 = cfg.p1 * (self.h_1r_prev @ herm(self.h_1r_prev))
+        hh2 = cfg.p2 * (self.h_2r_prev @ herm(self.h_2r_prev))
+        base = (self.g_c_scale + cfg.sigma_n_sq_r)[:, None, None] * np.eye(n_r)
         self.g = np.stack([base + hh2, base + hh1], axis=1)
         self.gr = base + hh1 + hh2
-        # left Kronecker factors of the relay system: G_1^T, G_2^T, G_r^T
-        self.kron_left = np.swapaxes(np.concatenate([self.g, self.gr[:, None]], axis=1), -1, -2)
         self.p_bar = np.array([cfg.p2, cfg.p1])
         self.nu = np.array(cfg.nu)
         self.nu_eye = self.nu[:, None, None] * np.eye(cfg.n_s)
-        self.p_bar_h_bar = self.p_bar[:, None, None] * self.h_bar
-        # p_lbar conj(H_rl)[i, a] conj(H_lbar)[b, j] in the [b, a] layout of _NewtonModel
-        self.desired_outer = self.p_bar[:, None, None, None, None] \
-            * self.h_bar_h[:, :, None, :, :, None] * self.h_conj
+        self.p_bar_h_bar_h = self.p_bar[:, None, None] * herm(self.h_bar)
         self.receive_basis = _receive_basis(cfg.n_s)
         self.budget = n_r * cfg.pr
         self.j_max = cfg.n_s * (cfg.p1 + cfg.p2)
@@ -349,11 +347,23 @@ class SlotProblem:
 
     def subset(self, keep: np.ndarray) -> "SlotProblem":
         """The same problem restricted to the realizations ``keep``."""
-        sub = copy.copy(self)
-        for name in ("h", "h_bar", "h_h", "h_bar_h", "h_conj", "p_bar_h_bar", "desired_outer",
-                     "g", "gr", "kron_left"):
-            setattr(sub, name, getattr(self, name)[keep])
-        return sub
+        return replace(self, **{f.name: getattr(self, f.name)[keep] for f in fields(self)[1:]})
+
+    @cached_property
+    def solve_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The parts of every relay solve that depend only on the slot (see :class:`RelaySystem`).
+
+        With S = [S_1 S_2], S_l = sqrt(p_l) H_lr, so that G_l = G_r - S_l S_l^H,
+        returns (G_r^-1, S^H G_r^-1, Q) where Q[k, i, l, j] is entry (j, i)
+        of S_l^H G_r^-1 S_k.  Computed on the first solve only: problems that
+        are just scored never need it.
+        """
+        cfg = self.cfg
+        s = np.concatenate([math.sqrt(cfg.p1) * self.h_1r_prev, math.sqrt(cfg.p2) * self.h_2r_prev], axis=2)
+        gr_inv = np.linalg.inv(self.gr)
+        s_gr_inv = herm(gr_inv @ s)
+        q = np.swapaxes(s_gr_inv @ s, -1, -2).reshape(-1, 2, cfg.n_s, 2, cfg.n_s)
+        return gr_inv, s_gr_inv, q
 
     def _expand(self, a: np.ndarray, extra: int) -> np.ndarray:
         """``a`` with ``extra`` unit axes after the realization axis."""
@@ -363,7 +373,7 @@ class SlotProblem:
         """alpha meeting the power budget tr(F G_r F^H) = n_r p_r."""
         gr = self._expand(self.gr, f_bar.ndim - 3)
         # the same expression as the per-realization code, so both round alike
-        return np.sqrt(self.budget / np.trace(f_bar @ gr @ herm(f_bar), axis1=-2, axis2=-1).real)
+        return np.sqrt(self.budget / (f_bar @ gr @ herm(f_bar)).trace(axis1=-2, axis2=-1).real)
 
     def wiener(self, f: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form receive matrices R_l = alpha p_lbar (C G_l C^H + nu_l I)^-1 C H_lbar.
@@ -393,70 +403,133 @@ class SlotProblem:
     def objective(self, f_bar: np.ndarray, alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Analytic sum MSE of the design (f_bar, alpha, R_1, R_2)."""
         f = alpha[:, None, None] * f_bar
-        cross = 2.0 * np.real(np.einsum("rij,rij->r", np.conj(self._w_f0(r)), f))
-        e = herm(r) @ self.h @ f[:, None]
+        b = herm(r) @ self.h
+        cross = 2.0 * np.real(np.einsum("rij,rij->r", np.conj(self._w_f0(b)), f))
+        e = b @ f[:, None]
         quad = sum(trace_quad(e[:, l], self.g[:, l]) + self.nu[l] * fro_sq(r[:, l]) for l in (0, 1))
         return self.j_max - cross / alpha + quad / alpha**2
 
-    def _w_f0(self, r: np.ndarray) -> np.ndarray:
-        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H."""
-        return (self.p_bar[:, None, None] * (self.h_h @ r @ self.h_bar_h)).sum(axis=1)
+    def _w_f0(self, b: np.ndarray) -> np.ndarray:
+        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl."""
+        return (herm(b) @ self.p_bar_h_bar_h).sum(axis=1)
 
     def _w_f(self, r: np.ndarray) -> np.ndarray:
         """Noise and source-loopback power picked up by the receive matrices."""
         return (self.nu[:, None, None] * (r * r.conj()).real).sum(axis=(1, 2, 3))
 
-    def relay_system(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Relay stationarity system K vec(F_bar) = vec(W_f0) for fixed receive matrices.
 
-        Its solution minimizes the sum MSE over an unnormalized F_bar.
-        """
-        bm = herm(r) @ self.h
-        w_fl = herm(bm) @ bm
-        w_f0 = self._w_f0(r)
-        if not np.all(w_f0.reshape(len(w_f0), -1).any(axis=1)):
-            raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
-        n_r = self.cfg.n_r
-        right = np.concatenate(
-            [w_fl, (self._w_f(r) / self.budget)[:, None, None, None] * np.eye(n_r)], axis=1)
-        k = self.kron_left[:, 0, :, None, :, None] * right[:, 0, None, :, None, :]
-        for l in (1, 2):
-            k += self.kron_left[:, l, :, None, :, None] * right[:, l, None, :, None, :]
-        return k.reshape(len(r), n_r * n_r, -1), w_f0
+class RelaySystem:
+    """Relay stationarity operator of a slot problem for fixed receive matrices, and its inverse.
 
-    def gradient(self, f_bar: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Gradient of the receive-eliminated sum MSE at ``f_bar``, for r = Wiener(f_bar).
+    For receive matrices R_l, with B_l = R_l^H H_rl, W_l = B_l^H B_l and
+    c = w_f / (n_r p_r), the operator is K(X) = sum_l W_l X G_l + c X G_r and
+    the relay step solves K(F_bar) = W_f0, which minimizes the sum MSE over
+    an unnormalized F_bar.  Since G_l = G_r - S_l S_l^H
+    (S_1 = sqrt(p1) H_1r, S_2 = sqrt(p2) H_2r of the previous slot), with
+    M = W_1 + W_2 + c I
 
-        By the envelope theorem it is the relay stationarity residual
-        sum_l W_fl F G_l + w_f / (n_r p_r) F G_r - W_f0 (conjugate-gradient
-        convention: dJ = 2 Re tr(grad^H dF)).
-        """
-        bm = herm(r) @ self.h
-        kx = (herm(bm) @ bm @ f_bar[:, None] @ self.g).sum(axis=1) \
-            + (self._w_f(r) / self.budget)[:, None, None] * (f_bar @ self.gr)
-        return kx - self._w_f0(r)
+        K(X) = M X G_r - sum_l B_l^H (B_l X S_l) S_l^H,
 
+    a Sylvester operator with a correction of rank 2 n_s^2 (Simoncini,
+    "Computational methods for linear matrix equations", SIAM Review 58(3),
+    2016).  :meth:`solve` inverts it by the Sherman-Morrison-Woodbury
+    identity: with Z_l = B_l X S_l (n_s x n_s),
+    X = M^-1 (Y + sum_l B_l^H Z_l S_l^H) G_r^-1, and the Z_l solve the
+    2 n_s^2 x 2 n_s^2 capacitance system
 
-def _solve_relay(k: np.ndarray, w_f0: np.ndarray):
-    """F_bar solving K vec(F_bar) = vec(W_f0), with the residual guard of solve_linear.
+        Z_k - sum_l (B_k M^-1 B_l^H) Z_l (S_l^H G_r^-1 S_k) = B_k M^-1 Y G_r^-1 S_k.
 
-    Solves through the explicit inverse, which the Newton model reuses, plus
-    one refinement step that brings it to a direct solve's accuracy.
-    Realizations whose solution still misses the residual limit are solved
-    again by :func:`solve_linear`, which raises SingularSystemError when the
-    system is singular to tolerance.  Returns the solutions, K^-1 and the
-    mask of re-solved realizations.
+    Per system that is one n_r x n_r inverse (of M) and one of the
+    capacitance matrix; the slot's G_r^-1 parts come from
+    :attr:`SlotProblem.solve_factors`.
     """
-    k_inv = np.linalg.inv(k)
-    rhs = _vec(w_f0)[..., None]
-    x = k_inv @ rhs
-    x += k_inv @ (rhs - k @ x)
-    x, rhs = x[..., 0], rhs[..., 0]
-    residual = np.linalg.norm(rhs - (k @ x[..., None])[..., 0], axis=1)
-    bad = residual > _SOLVE_RESIDUAL_LIMIT * np.maximum(np.linalg.norm(rhs, axis=1), 1e-300)
-    for idx in np.nonzero(bad)[0]:
-        x[idx] = solve_linear(k[idx], rhs[idx])
-    return _mat(x, w_f0.shape[-1]), k_inv, bad
+
+    def __init__(self, problem: SlotProblem, r: np.ndarray):
+        self.problem = problem
+        self.b = herm(r) @ problem.h                  # B_l, (R, 2, n_s, n_r)
+        self.w = herm(self.b) @ self.b                # W_l
+        self.w0 = problem._w_f0(self.b)
+        self.c = problem._w_f(r) / problem.budget
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """K(X) - W_f0 for a stack of n_r x n_r matrices.
+
+        At a unit-norm steering matrix whose receive matrices are its Wiener
+        solution, this is the gradient of the receive-eliminated sum MSE (by
+        the envelope theorem; conjugate-gradient convention
+        dJ = 2 Re tr(grad^H dF)).
+        """
+        p = self.problem
+        return (self.w @ x[:, None] @ p.g).sum(axis=1) + self.c[:, None, None] * (x @ p.gr) - self.w0
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """M^-1 and the two thin factors of the rank-2 n_s^2 correction.
+
+        ``into_z`` maps a row-major flattened right-hand side Y to the
+        capacitance right-hand sides B_k M^-1 Y G_r^-1 S_k, rows (k, a, i) for
+        entry (a, i) of Z_k; ``from_z`` maps those, through the inverse
+        capacitance matrix, to the correction sum_l (M^-1 B_l^H) Z_l (S_l^H G_r^-1).
+        """
+        size, _, n_s, n_r = self.b.shape
+        _, s_gr_inv, q = self.problem.solve_factors
+        m_inv = np.linalg.inv(self.w.sum(axis=1) + self.c[:, None, None] * np.eye(n_r))
+        bm = self.b @ m_inv[:, None]                      # B_k M^-1, (R, 2, n_s, n_r)
+        coupling = bm.reshape(size, 2 * n_s, n_r) @ herm(self.b.reshape(size, 2 * n_s, n_r))
+        # rows (k, a, i) and columns (l, b, j) of Z_k[a, i] and Z_l[b, j]
+        coupling = coupling.reshape(size, 2, n_s, 1, 2, n_s, 1) * q[:, :, None, :, :, None, :]
+        capacitance_inv = np.linalg.inv(np.eye(2 * n_s * n_s) - coupling.reshape(size, 2 * n_s * n_s, -1))
+        f = s_gr_inv.reshape(size, 2, n_s, n_r)          # S_l^H G_r^-1
+        into_z = bm.transpose(0, 3, 1, 2)[:, :, None, :, :, None] \
+            * np.conj(f).transpose(0, 3, 1, 2)[:, None, :, :, None, :]
+        out_of_z = np.conj(bm)[:, :, :, None, :, None] * f[:, :, None, :, None, :]
+        from_z = np.swapaxes(capacitance_inv, -1, -2) @ out_of_z.reshape(size, 2 * n_s * n_s, -1)
+        return m_inv, into_z.reshape(size, n_r * n_r, -1), from_z
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """K^-1 applied to the right-hand sides ``y``, (R, count, n_r, n_r).
+
+        Every product runs over the realization axis only: M^-1 multiplies
+        the right-hand sides side by side, G_r^-1 stacked.
+        """
+        size, count, n_r, _ = y.shape
+        m_inv, into_z, from_z = self._factors
+        v = m_inv @ y.swapaxes(1, 2).reshape(size, n_r, count * n_r)
+        v = (v.reshape(size, n_r * count, n_r) @ self.problem.solve_factors[0]).reshape(size, n_r, count, n_r)
+        correction = y.reshape(size, count, n_r * n_r) @ into_z @ from_z
+        return v.swapaxes(1, 2) + correction.reshape(size, count, n_r, n_r)
+
+    def solve_stationarity(self, rows: np.ndarray | None = None):
+        """The relay step K^-1 W_f0, and K^-1 applied to ``rows`` (R, k, n_r, n_r), in one solve.
+
+        Realizations whose step misses ||K(X) - W_f0|| <= 1e-10 ||W_f0|| are
+        solved again through the dense n_r^2 x n_r^2 Kronecker system by
+        solve_linear, which raises SingularSystemError when it is singular to
+        tolerance.  Returns the steps, the row solutions and the mask of
+        re-solved realizations, whose row solutions are not to be trusted.
+        """
+        w0 = self.w0
+        if not np.all(w0.reshape(len(w0), -1).any(axis=1)):
+            raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
+        x = self.solve(w0[:, None] if rows is None else np.concatenate([w0[:, None], rows], axis=1))
+        raw = x[:, 0]
+        residual = np.linalg.norm(self.residual(raw), axis=(1, 2))
+        bad = ~(residual <= _SOLVE_RESIDUAL_LIMIT * np.maximum(np.linalg.norm(w0, axis=(1, 2)), 1e-300))
+        p = self.problem
+        for idx in np.nonzero(bad)[0]:
+            raw[idx] = _dense_relay_solve(p.g[idx], p.gr[idx], self.w[idx], self.c[idx], w0[idx])
+        return raw, x[:, 1:], bad
+
+
+def _dense_relay_solve(g, gr: np.ndarray, w, scale: float, w0: np.ndarray) -> np.ndarray:
+    """X with W_1 X G_1 + W_2 X G_2 + scale X G_r = W_0, via the n_r^2 x n_r^2 Kronecker system.
+
+    Raises SingularSystemError (from solve_linear) when that system is
+    singular to tolerance.
+    """
+    n_r = w0.shape[-1]
+    k = kron(g[0].T, w[0]) + kron(g[1].T, w[1]) + kron(gr.T, scale * np.eye(n_r))
+    return mat(solve_linear(k, vec(w0)), n_r, n_r)
 
 
 def _unit(f: np.ndarray) -> np.ndarray:
@@ -469,81 +542,99 @@ class _NewtonModel:
 
     With the receive matrices at their Wiener optimum the sum MSE is a
     function J(F_bar) of the steering matrix alone, invariant to complex
-    scaling of F_bar.  Its gradient is the relay residual K F_bar - W_f0 (see
-    :meth:`SlotProblem.gradient`) and its Hessian is K - B D^-1 B^T: K is the
-    relay system (the Hessian for fixed receive matrices), D the receive
-    Hessian (A_l = C_l G_l C_l^H + nu_l / alpha^2 I per
-    receiver, C_l = H_rl F_bar) and B the mixed relay/receive second
-    derivative, so the curvature the plain alternation ignores has rank at
-    most 4 n_s^2.  Steps are taken for the blended Hessian
-    (1 - sigma) H + sigma K: sigma = 1 is the plain alternation step, sigma
-    = 0 the Newton step; the Woodbury identity reduces each to a 4 n_s^2 real
-    system.  Directions along F_bar and i F_bar, which leave J unchanged, are
-    projected out of the low-rank part.  Receive-side quantities are carried
-    in the real coordinates of :func:`_receive_coords`, relay-side ones as
-    column-stacked vectors.
+    scaling of F_bar.  Its gradient is the relay residual K(F_bar) - W_f0
+    (see :meth:`RelaySystem.residual`) and its Hessian is K - B D^-1 B^T: K is
+    the relay operator (the Hessian for fixed receive matrices), D the
+    receive Hessian (A_l = C_l G_l C_l^H + nu_l / alpha^2 I per receiver,
+    C_l = H_rl F_bar) and B the mixed relay/receive second derivative, so the
+    curvature the plain alternation ignores has rank at most 4 n_s^2.  Steps
+    are taken for the blended Hessian (1 - sigma) H + sigma K: sigma = 1 is
+    the plain alternation step, sigma = 0 the Newton step; the Woodbury
+    identity reduces each to a 4 n_s^2 real system once K^-1 B is known.
+    Those systems are inverted once, for the candidate weights ``weights``
+    (R, c), and reused by every step the model takes.  K^-1 is applied by
+    the structured :meth:`RelaySystem.solve`, to the 4 n_s^2 rows of B
+    together with W_f0 (the plain step), so the model also carries the plain
+    step ``raw`` and the mask ``resolved`` of realizations whose plain step
+    needed the dense fallback.  Directions along F_bar and
+    i F_bar, which leave J unchanged, are projected out of the low-rank part.
+    Receive-side quantities are carried in the real coordinates of
+    :func:`_receive_coords`, relay-side ones as row-major flattened
+    n_r x n_r matrices.
     """
 
-    def __init__(self, problem: SlotProblem, f_bar, alpha, r, k, k_inv):
-        n_s = problem.cfg.n_s
+    def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
+        n_s, n_r = problem.cfg.n_s, f_bar.shape[-1]
         size = len(f_bar)
-        self.k_inv = k_inv
+        self.system = system
         self.n_s = n_s
         c = problem.h @ f_bar[:, None]                    # C_l = H_rl F_bar
         cg = c @ problem.g                                # C_l G_l
-        q_hat = problem.h_h @ r                           # H_rl^H R_l
+        d1 = herm(r) @ cg - problem.p_bar_h_bar_h         # R_l^H C_l G_l - p_lbar H_lbar^H
+        fgr = f_bar @ problem.gr
 
-        # Rows vec(B e_k) for the unit receive perturbations e_k: the change
-        # of K F_bar - W_f0 when R_l moves along e_k, each a sum of outer
-        # products laid out as [column, row] of the n_r x n_r matrix.
-        o1 = (herm(r) @ cg)[:, :, None, :, :, None] * problem.h_conj
-        o2 = cg[:, :, :, None, :, None] * np.swapaxes(q_hat, -1, -2)[:, :, None, :, None, :]
-        fg = np.swapaxes(f_bar @ problem.gr, -1, -2)[:, None, None, None] / problem.budget
+        # The matrices B e_k for the unit receive perturbations e_k: the
+        # change of K(F_bar) - W_f0 when R_l moves along e_k, each a sum of
+        # outer products laid out as [row, column] of the n_r x n_r matrix.
+        o1 = problem.h_conj * d1[:, :, None, :, None, :]
+        o2 = np.conj(system.b)[:, :, None, :, :, None] * cg[:, :, :, None, None, :]
+        fg = fgr[:, None, None, None] / problem.budget
         dw = (2.0 * problem.nu[:, None, None] * r)[..., None, None]
         b = np.empty(o1.shape[:4] + (2,) + o1.shape[4:], dtype=complex)
-        b[..., 0, :, :] = o1 + o2 - problem.desired_outer + dw.real * fg
-        b[..., 1, :, :] = 1j * (o1 - o2 - problem.desired_outer) + dw.imag * fg
-        b = b.reshape(size, -1, f_bar.shape[-1] ** 2)
+        b[..., 0, :, :] = o1 + o2 + dw.real * fg
+        b[..., 1, :, :] = 1j * (o1 - o2) + dw.imag * fg
+        b = b.reshape(size, -1, n_r, n_r)
+        self.raw, k_inv_b, self.resolved = system.solve_stationarity(b)
 
         # Rows of K^-1 B without their K-orthogonal components along F_bar
         # and i F_bar.
-        x = _vec(f_bar)
-        kappa = (x.conj() * (k @ x[..., None])[..., 0]).sum(axis=1).real
+        x = f_bar.reshape(size, -1)
+        kx = (system.residual(f_bar) + system.w0).reshape(size, -1)
+        kappa = (x.conj() * kx).sum(axis=1).real
+        b = b.reshape(size, -1, n_r * n_r)
         along = (b @ x.conj()[..., None]) / kappa[:, None, None]
-        self.w = b @ np.swapaxes(k_inv, -1, -2) - along * x[:, None]
+        self.w = k_inv_b.reshape(b.shape) - along * x[:, None]
 
         # Receive-gradient change along relay directions U:
         # H U P1 + P2 U^H P3 + nu dg R, with dg = 2 Re tr(U G_r F^H) / (n_r p_r).
         a = cg @ herm(c) + alpha[:, None, None, None] ** -2 * problem.nu_eye
-        p1 = herm(cg) @ r - problem.p_bar_h_bar
-        self._t1 = np.einsum("rlia,rlbj->rbalij", problem.h, p1).reshape(size, x.shape[-1], -1)
-        self._t2 = np.einsum("rlia,rlbj->rablij", cg, q_hat).reshape(size, x.shape[-1], -1)
-        self._gx = (problem.gr @ herm(f_bar)).reshape(size, -1, 1) * (2.0 / problem.budget)
+        self._t1 = np.einsum("rlia,rljb->rablij", problem.h, np.conj(d1)).reshape(size, x.shape[-1], -1)
+        self._t2 = np.einsum("rlia,rlbj->rbalij", cg, herm(system.b)).reshape(size, x.shape[-1], -1)
+        self._gx = np.conj(fgr).reshape(size, -1, 1) * (2.0 / problem.budget)
         self._nu_r = (problem.nu[:, None, None] * r).reshape(size, 1, -1)
-        self.d = _receive_coords(np.einsum("rlab,klbc->rklac", a, problem.receive_basis))
+        d = _receive_coords(np.einsum("rlab,klbc->rklac", a, problem.receive_basis))
         m = self._mixed(self.w)
-        self.m = 0.5 * (m + np.swapaxes(m, 1, 2))
+        m = 0.5 * (m + np.swapaxes(m, 1, 2))
+        self.keep = 1.0 - weights
+        self.blend_inv = np.linalg.inv(d[:, None] - self.keep[..., None, None] * m[:, None])
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
-        """Receive coordinates of B^T u for vectorized relay directions u, (R, k, n_r^2)."""
+        """Receive coordinates of B^T u for flattened relay directions u, (R, k, n_r^2)."""
         out = u @ self._t1 + np.conj(u) @ self._t2 + np.real(u @ self._gx) * self._nu_r
         return _receive_coords(out.reshape(*u.shape[:2], 2, self.n_s, self.n_s))
 
     def apply_k_inv(self, x: np.ndarray) -> np.ndarray:
         """K^-1 applied to a stack of n_r x n_r matrices."""
-        return _mat((self.k_inv @ _vec(x)[..., None])[..., 0], x.shape[-1])
+        return self.system.solve(x[:, None])[:, 0]
 
-    def steps(self, sigma: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad.
+    def steps(self, u: np.ndarray, choice: np.ndarray | None = None) -> np.ndarray:
+        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad, (R, n_r, n_r).
 
-        ``sigma`` is (R, c) and ``u`` is (R, n_r, n_r); returns (R, c, n_r, n_r).
+        Returns (R, c, n_r, n_r), one step per candidate weight sigma; with
+        ``choice`` (R,), (R, 1, n_r, n_r) for candidate ``choice`` of each
+        realization, where choice c (one past the weights) means sigma = 1,
+        the plain alternation step.
         """
-        keep = 1.0 - sigma
-        u_vec = _vec(u)[:, None]
-        bu = self._mixed(u_vec)
-        v = np.linalg.solve(self.d[:, None] - keep[..., None, None] * self.m[:, None],
-                            np.broadcast_to(bu[..., None], (*sigma.shape, bu.shape[-1], 1)))[..., 0]
-        return _mat(-(u_vec + keep[..., None] * (v @ self.w)), u.shape[-1])
+        keep, blend_inv = self.keep, self.blend_inv
+        if choice is not None:
+            rows = np.arange(len(u))
+            plain = choice == keep.shape[1]
+            pick = np.where(plain, 0, choice)
+            keep = np.where(plain, 0.0, keep[rows, pick])[:, None]
+            blend_inv = blend_inv[rows, pick][:, None]
+        u_vec = u.reshape(len(u), 1, -1)
+        v = (blend_inv @ self._mixed(u_vec)[..., None])[..., 0]
+        return -(u_vec + keep[..., None] * (v @ self.w)).reshape(*keep.shape, *u.shape[1:])
 
 
 def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
@@ -555,11 +646,10 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     ``_CHORD_STEPS`` steps that reuse the same model.  The result is kept
     only if it does not raise J by more than rounding.
     """
-    k, w_f0 = problem.relay_system(r)
-    raw, k_inv, resolved = _solve_relay(k, w_f0)
-    model = _NewtonModel(problem, f_bar, alpha, r, k, k_inv)
     weights = np.minimum(sigma[:, None] * _SIGMA_FACTORS, 1.0)
-    steps = model.steps(weights, f_bar - raw)
+    model = _NewtonModel(problem, RelaySystem(problem, r), f_bar, alpha, r, weights)
+    raw, resolved = model.raw, model.resolved
+    steps = model.steps(f_bar - raw)
     candidates = np.concatenate([_unit(f_bar[:, None] + steps), _unit(raw)[:, None]], axis=1)
     c_alpha, c_r, values = problem.receive(candidates)
     values[:, :-1][resolved] = np.inf
@@ -573,8 +663,8 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     plain = best == len(_SIGMA_FACTORS)
     weight = np.where(plain, 1.0, weights[rows, np.minimum(best, len(_SIGMA_FACTORS) - 1)])
     for _ in range(_CHORD_STEPS):
-        u = model.apply_k_inv(problem.gradient(new_f, new_r))
-        trial = _unit(new_f + model.steps(weight[:, None], u)[:, 0])
+        u = model.apply_k_inv(RelaySystem(problem, new_r).residual(new_f))
+        trial = _unit(new_f + model.steps(u, best)[:, 0])
         t_alpha, t_r, t_j = problem.receive(trial)
         better = t_j <= new_j + slack
         new_f[better], new_alpha[better], new_r[better], new_j[better] = \
@@ -615,7 +705,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     j_trace = np.full((cfg.max_iterations + 1, size), np.nan)
     j_trace[0] = problem.objective(f_bar, problem.amplification(f_bar), r)
 
-    f_bar = _unit(_solve_relay(*problem.relay_system(r))[0])
+    f_bar = _unit(RelaySystem(problem, r).solve_stationarity()[0])
     if pin_receive:
         # Later relay steps repeat this one exactly: the trace is flat after it.
         alpha = problem.amplification(f_bar)

@@ -1,16 +1,23 @@
+import time
+
 import numpy as np
 import pytest
 
+from fdrelay import beamforming
 from fdrelay.beamforming import (
     DegenerateObjectiveError,
+    RelaySystem,
+    SlotProblem,
     alternate_optimize,
     build_slot_operators,
+    design_slot_batch,
     evaluate_sum_mse,
     relay_input_covariances,
     solve_receive_beamformers,
     solve_relay_beamformer,
 )
 from fdrelay.channel import SystemConfig, config_from_snr_inr, crandn, draw_slot_channels, slot_rng
+from fdrelay.matrix_core import SingularSystemError, kron, vec
 from fdrelay.si_propagation import ResidualSICovariance
 
 
@@ -316,3 +323,101 @@ def test_zero_tolerance_runs_every_iteration_even_when_stagnant():
     assert sol.iterations_used == cfg.max_iterations
     assert len(sol.j_trace) == cfg.max_iterations + 1
     assert len(set(sol.j_trace[1:])) == 1
+
+
+def _stacked_problem(cfg, seed, size, g_c_scale):
+    draws = [_instance(cfg, seed, realization=k) for k in range(size)]
+    return SlotProblem(
+        cfg,
+        np.stack([ch1.h_r1 for ch1, _ in draws]), np.stack([ch1.h_r2 for ch1, _ in draws]),
+        np.stack([ch0.h_1r for _, ch0 in draws]), np.stack([ch0.h_2r for _, ch0 in draws]),
+        np.asarray(g_c_scale, dtype=float),
+    ), draws
+
+
+def _kronecker_relay_system(cfg, ch1, ch0, g_c_scale, r):
+    """Dense n_r^2 x n_r^2 relay system and W_f0 of one realization, from the per-realization operators."""
+    ops = build_slot_operators(ch1, ch0, ResidualSICovariance(scale=g_c_scale, n_r=cfg.n_r), r[0], r[1], cfg)
+    k = kron(ops.g1.T, ops.w_f1) + kron(ops.g2.T, ops.w_f2) \
+        + kron(ops.gr.T, ops.w_f_scalar / (cfg.n_r * cfg.pr) * np.eye(cfg.n_r))
+    return k, ops.w_f0
+
+
+@pytest.mark.parametrize("n_s", [1, 2, 3])
+@pytest.mark.parametrize("n_r", [2, 3, 5, 8, 12])
+def test_structured_relay_solve_matches_kronecker_solve(n_s, n_r):
+    rng = np.random.default_rng(100 * n_s + n_r)
+    size = 3
+    for snr_db in (10.0, 40.0):
+        cfg = config_from_snr_inr(snr_db, 0.0, n_s=n_s, n_r=n_r)
+        g_c_scale = rng.uniform(0.05, 2.0, size)
+        problem, draws = _stacked_problem(cfg, n_r, size, g_c_scale)
+        r = crandn(rng, size, 2, n_s, n_s)
+        system = RelaySystem(problem, r)
+        rhs = np.concatenate([system.w0[:, None], crandn(rng, size, 2, n_r, n_r)], axis=1)
+        x = system.solve(rhs)
+        step, _, resolved = system.solve_stationarity()
+        assert not resolved.any()
+        for k, (ch1, ch0) in enumerate(draws):
+            dense, w_f0 = _kronecker_relay_system(cfg, ch1, ch0, g_c_scale[k], r[k])
+            assert np.allclose(rhs[k, 0], w_f0, rtol=1e-13, atol=0)
+            residual = np.linalg.norm(dense @ vec(step[k]) - vec(w_f0)) / np.linalg.norm(w_f0)
+            assert residual <= 1e-10, (snr_db, k, residual)
+            if np.linalg.cond(dense) <= 1e6:
+                for j in range(rhs.shape[1]):
+                    reference = np.linalg.solve(dense, vec(rhs[k, j]))
+                    error = np.linalg.norm(vec(x[k, j]) - reference) / np.linalg.norm(reference)
+                    assert error <= 1e-10, (snr_db, k, j, error)
+        # a realization's solution does not depend on the batch around it
+        for k in range(size):
+            single = RelaySystem(problem.subset(np.array([k])), r[k:k + 1])
+            assert np.array_equal(single.solve(rhs[k:k + 1])[0], x[k])
+            assert np.array_equal(single.solve_stationarity()[0][0], step[k])
+
+
+def test_near_singular_relay_system_raises():
+    # 50 dB SNR, n_r = 5 > 2 n_s: M and G_r are nearly singular and the relay
+    # system of the first (identity-receiver) step has condition ~7e12
+    cfg = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
+    ch1, ch0 = _instance(cfg, 13)
+    with pytest.raises(SingularSystemError) as info:
+        alternate_optimize(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), cfg)
+    assert info.value.condition > 1e12
+
+
+def test_large_relay_design_avoids_the_kronecker_system(monkeypatch):
+    # n_r = 32: the dense relay system would be 1024 x 1024, about 0.3-0.7 s
+    # per iteration for its inverse alone; the structured solve never forms it.
+    def dense_solve(*args):
+        raise AssertionError("dense relay solve at n_r = 32")
+
+    monkeypatch.setattr(beamforming, "solve_linear", dense_solve)
+    cfg = config_from_snr_inr(10.0, 0.0, n_s=2, n_r=32)
+    problem, _ = _stacked_problem(cfg, 3, 2, [0.0, 0.5])
+    start = time.perf_counter()
+    design = design_slot_batch(problem)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"{elapsed:.2f} s for {design.iterations_used} iterations"
+    for k in range(2):
+        trace = design.j_trace[: design.iterations_used[k] + 1, k]
+        assert np.all(np.diff(trace) <= 1e-13 * np.maximum(1.0, trace[:-1]))
+
+
+def test_subset_equals_problem_built_from_the_subset_inputs(rng):
+    cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=4)
+    problem, _ = _stacked_problem(cfg, 21, 5, rng.uniform(0.0, 1.0, 5))
+    keep = np.array([True, False, True, True, False])
+    built = SlotProblem(cfg, problem.h_r1[keep], problem.h_r2[keep], problem.h_1r_prev[keep],
+                        problem.h_2r_prev[keep], problem.g_c_scale[keep])
+    problem.solve_factors  # computed on demand; must not leak into the subset
+    sub = problem.subset(keep)
+    for p in (sub, built):
+        p.solve_factors
+    assert vars(sub).keys() == vars(built).keys()
+    for name, value in vars(built).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(sub, name), value), name
+        elif isinstance(value, tuple):
+            assert all(np.array_equal(a, b) for a, b in zip(getattr(sub, name), value)), name
+        else:
+            assert getattr(sub, name) == value, name
