@@ -8,7 +8,9 @@ covariance is built from every earlier beamformer, the slot is designed with
 batched over a stack of realizations, which removes the Python-call overhead
 that dominates at these matrix sizes.  :func:`run_trajectories_batch` runs
 realizations 0..R-1 of a grid point and :func:`fdrelay.simulate.run_trajectory`
-one realization with its designs; both go through the same loop.  The
+one realization with its designs; both go through the same loop.  The loop
+is resumable: the memory search advances one infinite-memory trajectory and
+forks it for each candidate memory (see :mod:`fdrelay.memory_select`).  The
 per-realization formulas in ``beamforming``, ``si_propagation`` and
 ``metrics`` are independent references that the tests compare it against.
 
@@ -36,6 +38,7 @@ design believed.  Rates likewise use the realized error matrices.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -81,6 +84,9 @@ class _Trajectories:
     rates: np.ndarray
     designs: list[BatchDesign]
     channels: list[TimeSlotChannels]
+
+    def stats(self) -> BatchTrajectoryStats:
+        return BatchTrajectoryStats(sum_mse=self.sum_mse, sum_rate=self.rates[..., 0] + self.rates[..., 1])
 
 
 def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: Sequence[int]) -> TimeSlotChannels:
@@ -187,53 +193,85 @@ def _half_duplex_slot(cfg: SystemConfig, ch_mac: TimeSlotChannels,
     return design, 0.5 * rates
 
 
-def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
-                      realizations: Sequence[int]) -> _Trajectories:
-    """The slot loop for the realizations with the given indices, batched."""
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if cfg.memory == MEMORY_AUTO:
-        raise ValueError("memory 'auto' must be resolved (see select_memory) before simulation")
-    if slots < 1:
-        raise ValueError("need at least one full-duplex slot")
+class _TrajectoryState:
+    """A stack of trajectories run up to some slot, resumable and forkable.
 
-    size = len(realizations)
-    channels = [_draw_stacked(cfg, seed, 0, realizations)]
-    sum_mse = np.empty((slots, size))
-    rates = np.empty((slots, size, 2))
-    designs: list[BatchDesign] = []
+    Holds what the slot loop carries from one slot to the next: the stacked
+    channel draws (at least of slots 0..``slot``), per past slot the beamformer's
+    squared norm tr(F_s F_s^H) and content trace tr(F_s M_{s-1} F_s^H), the
+    Gram factor of the previous slot's relay transmission, and the per-slot
+    outputs.  Stored arrays are never modified in place, so :meth:`fork`
+    only copies the lists and a fork can be advanced with another memory
+    setting without touching its parent.  The channel list is shared, not
+    copied: a draw depends only on (seed, realization, slot), so whichever
+    fork reaches a slot first draws it for all.
+    """
 
-    if scheme == "half_duplex":
-        for t in range(1, slots + 1):
-            channels.append(_draw_stacked(cfg, seed, t, realizations))
-            design, rates[t - 1] = _half_duplex_slot(cfg, channels[t - 1], channels[t])
-            sum_mse[t - 1] = design.j
-            designs.append(design)
-        return _Trajectories(sum_mse, rates, designs, channels)
+    def __init__(self, cfg: SystemConfig, seed: int, realizations: Sequence[int]):
+        self.seed = seed
+        self.realizations = realizations
+        self.channels = [_draw_stacked(cfg, seed, 0, realizations)]
+        self.f_norm_sq: list[np.ndarray] = []
+        self.content_trace: list[np.ndarray] = []
+        self.x_r_factor = None
+        self.sum_mse: list[np.ndarray] = []
+        self.rates: list[np.ndarray] = []
+        self.designs: list[BatchDesign] = []
 
-    noise_block = _noise_block(cfg, size)
-    pin_receive = scheme == "relay_only"
-    f_norm_sq: list[np.ndarray] = []      # per past slot s: tr(F_s F_s^H)
-    content_trace: list[np.ndarray] = []  # per past slot s: tr(F_s M_{s-1} F_s^H)
-    x_r_factor = None                     # Gram factor of E[x_r x_r^H | errors], previous slot
+    @property
+    def slot(self) -> int:
+        """The last slot run (0 before the first full-duplex slot)."""
+        return len(self.designs)
 
-    for t in range(1, slots + 1):
-        channels.append(_draw_stacked(cfg, seed, t, realizations))
-        ch_t = channels[t]
-        ch_prev = channels[t - 1]
+    def fork(self) -> "_TrajectoryState":
+        twin = copy.copy(self)
+        for name in ("f_norm_sq", "content_trace", "sum_mse", "rates", "designs"):
+            setattr(twin, name, list(getattr(self, name)))
+        return twin
 
+    def advance(self, cfg: SystemConfig, scheme: str, until_slot: int) -> "_TrajectoryState":
+        """Run slots ``slot``+1..``until_slot`` of ``scheme`` under ``cfg``; returns self.
+
+        ``cfg`` may differ between calls only in its memory setting: the
+        channel draws do not depend on it.
+        """
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        if cfg.memory == MEMORY_AUTO:
+            raise ValueError("memory 'auto' must be resolved (see select_memory) before simulation")
+        for t in range(self.slot + 1, until_slot + 1):
+            if len(self.channels) == t:
+                self.channels.append(_draw_stacked(cfg, self.seed, t, self.realizations))
+            if scheme == "half_duplex":
+                design, rates = _half_duplex_slot(cfg, self.channels[t - 1], self.channels[t])
+                self._record(design.j, rates, design)
+            else:
+                self._step(cfg, scheme, t)
+        return self
+
+    def _record(self, sum_mse: np.ndarray, rates: np.ndarray, design: BatchDesign):
+        self.sum_mse.append(sum_mse)
+        self.rates.append(rates)
+        self.designs.append(design)
+
+    def _step(self, cfg: SystemConfig, scheme: str, t: int):
+        """Design, score and roll forward one full-duplex slot ``t``."""
+        ch_t, ch_prev = self.channels[t], self.channels[t - 1]
+        size = len(self.realizations)
         if scheme == "conventional":
             g_design = np.zeros(size)
         else:
-            g_design = _design_si_scale(cfg, cfg.memory, t, f_norm_sq, content_trace, size)
+            g_design = _design_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, size)
         problem = _slot_problem(cfg, ch_t, ch_prev, g_design)
-        design = design_slot_batch(problem, pin_receive)
+        design = design_slot_batch(problem, scheme == "relay_only")
         f_bar, alpha, r = design.f_bar, design.alpha, design.r
 
-        if scheme != "conventional" and cfg.memory == MEMORY_INFINITE:
+        # The memory window first truncates the design's scale at slot m+2;
+        # before that the design already saw the true (untruncated) scale.
+        if scheme != "conventional" and t < cfg.memory + 2:
             j_true = design.j
         else:
-            g_true = _design_si_scale(cfg, MEMORY_INFINITE, t, f_norm_sq, content_trace, size)
+            g_true = _design_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, size)
             true_problem = _slot_problem(cfg, ch_t, ch_prev, g_true)
             if scheme == "conventional":
                 # gain control: the true transmit power meets the budget even
@@ -242,33 +280,48 @@ def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
                 alpha = true_problem.amplification(f_bar)
                 r = problem.wiener(alpha[:, None, None] * f_bar, alpha)[0]
             j_true = true_problem.objective(f_bar, alpha, r)
-        sum_mse[t - 1] = j_true
-        designs.append(replace(design, alpha=alpha, r=r))
         f = alpha[:, None, None] * f_bar
 
         # Interference factor of this slot's relay input: fresh relay noise
         # plus the previous transmission leaked through the realized error.
-        if x_r_factor is None:
+        noise_block = _noise_block(cfg, size)
+        if self.x_r_factor is None:
             leak = None
             core_factor = noise_block
         else:
-            leak = ch_prev.delta_rr @ x_r_factor
+            leak = ch_prev.delta_rr @ self.x_r_factor
             core_factor = np.concatenate([noise_block, leak], axis=2)
-        rates[t - 1] = _batch_rates(cfg, ch_t, ch_prev, core_factor, f_bar, alpha, r)
+        rates = _batch_rates(cfg, ch_t, ch_prev, core_factor, f_bar, alpha, r)
+        self._record(j_true, rates, replace(design, alpha=alpha, r=r))
 
         # Roll the trajectory state forward.
         relay_input_factor = _content_factor_batch(cfg, ch_prev)
         if leak is not None:
             relay_input_factor = np.concatenate([relay_input_factor, leak], axis=2)
-        x_r_factor = f @ relay_input_factor
-        f_norm_sq.append(fro_sq(f))
+        self.x_r_factor = f @ relay_input_factor
+        self.f_norm_sq.append(fro_sq(f))
         fh1 = f @ ch_prev.h_1r
         fh2 = f @ ch_prev.h_2r
-        content_trace.append(
+        self.content_trace.append(
             cfg.p1 * fro_sq(fh1) + cfg.p2 * fro_sq(fh2) + cfg.sigma_n_sq_r * fro_sq(f)
         )
 
-    return _Trajectories(sum_mse, rates, designs, channels)
+    def result(self, slots: int) -> _Trajectories:
+        """Slots 1..``slots`` (at most :attr:`slot`) as :class:`_Trajectories`."""
+        return _Trajectories(
+            np.stack(self.sum_mse[:slots]),
+            np.stack(self.rates[:slots]),
+            self.designs[:slots],
+            self.channels[: slots + 1],
+        )
+
+
+def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
+                      realizations: Sequence[int]) -> _Trajectories:
+    """The slot loop for the realizations with the given indices, batched."""
+    if slots < 1:
+        raise ValueError("need at least one full-duplex slot")
+    return _TrajectoryState(cfg, seed, realizations).advance(cfg, scheme, slots).result(slots)
 
 
 def run_trajectories_batch(
@@ -284,5 +337,4 @@ def run_trajectories_batch(
     channel draws are keyed by (seed, realization, slot) and every design
     and metric is computed per realization.
     """
-    out = _run_trajectories(cfg, scheme, slots, seed, range(realizations))
-    return BatchTrajectoryStats(sum_mse=out.sum_mse, sum_rate=out.rates[..., 0] + out.rates[..., 1])
+    return _run_trajectories(cfg, scheme, slots, seed, range(realizations)).stats()

@@ -11,6 +11,11 @@ The comparison is made on paired channel realizations and judged against the
 Monte Carlo standard error of the paired differences, so sampling noise does
 not masquerade as instability (with zero loopback error the two averages are
 equal in distribution and the smallest candidate is accepted).
+
+Up to slot m+1 a memory-m design is the infinite-memory design (the window
+has not truncated anything yet), so the search runs one infinite-memory
+trajectory and branches off it one memory-m slot per candidate: M candidates
+cost 2M+1 slot designs instead of M(M+5)/2 for restarting every candidate.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import SystemConfig
-from .engine import run_trajectories_batch
+from .channel import MEMORY_INFINITE, SystemConfig
+from .engine import _TrajectoryState
 
 __all__ = ["NoStableMemoryError", "MemoryProbe", "MemorySelection", "select_memory"]
 
@@ -54,25 +59,43 @@ def select_memory(
 ) -> MemorySelection:
     """Smallest memory whose truncation slot shows no significant MSE drop.
 
-    For each candidate i, runs the proposed scheme with memory i up to slot
-    i+2 over ``realizations`` paired realizations and compares the averaged
-    MSE at slots i+1 and i+2: the candidate is unstable when the slot-(i+2)
-    average falls more than ``significance`` standard errors below the
-    slot-(i+1) average.  Sensitivity therefore grows with the realization
-    count; around a thousand realizations resolves drops of a fraction of a
-    percent.  Raises :class:`NoStableMemoryError` once ``max_candidate``
-    probes fail (the raw stopping rule need not terminate).
+    Runs the proposed scheme with infinite memory over ``realizations``
+    paired realizations and, for each candidate i, branches off it at slot
+    i+1 to run slot i+2 with memory i; this equals a run with memory i from
+    slot 1.  The averaged MSE at slots i+1 and i+2 are compared: the
+    candidate is unstable when the slot-(i+2) average falls more than
+    ``significance`` standard errors below the slot-(i+1) average.
+    Sensitivity therefore grows with the realization count; around a
+    thousand realizations resolves drops of a fraction of a percent.  Raises
+    :class:`NoStableMemoryError` once ``max_candidate`` probes fail (the raw
+    stopping rule need not terminate).
+    """
+    return _search(cfg, seed, realizations, max_candidate, significance)[0]
+
+
+def _search(
+    cfg: SystemConfig,
+    seed: int,
+    realizations: int,
+    max_candidate: int = 32,
+    significance: float = 1.0,
+) -> tuple[MemorySelection, _TrajectoryState]:
+    """:func:`select_memory` plus the winning probe's trajectories.
+
+    The second item holds realizations 0..``realizations``-1 of the proposed
+    scheme with memory m_hat, run up to slot m_hat+2, for a caller that
+    continues them.
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
+    shared = _TrajectoryState(cfg, seed, range(realizations))
+    cfg_shared = cfg.with_memory(MEMORY_INFINITE)
     probes: list[MemoryProbe] = []
     for candidate in range(1, max_candidate + 1):
-        cfg_i = cfg.with_memory(candidate)
-        stats = run_trajectories_batch(
-            cfg_i, "proposed", slots=candidate + 2, seed=seed, realizations=realizations
-        )
-        j1 = stats.sum_mse[candidate]      # slot candidate + 1
-        j2 = stats.sum_mse[candidate + 1]  # slot candidate + 2
+        shared.advance(cfg_shared, "proposed", candidate + 1)
+        branch = shared.fork().advance(cfg.with_memory(candidate), "proposed", candidate + 2)
+        j1 = branch.sum_mse[candidate]      # slot candidate + 1
+        j2 = branch.sum_mse[candidate + 1]  # slot candidate + 2
         diffs = j1 - j2
         stderr = float(diffs.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else 0.0
         stable = float(diffs.mean()) <= significance * stderr + 1e-12
@@ -86,7 +109,7 @@ def select_memory(
             )
         )
         if stable:
-            return MemorySelection(m_hat=candidate, probes=tuple(probes))
+            return MemorySelection(m_hat=candidate, probes=tuple(probes)), branch
     raise NoStableMemoryError(
         f"no stable memory in 1..{max_candidate} "
         f"(last averaged MSE pair {probes[-1].j_at_m_plus_1:.4g} -> {probes[-1].j_at_m_plus_2:.4g})"

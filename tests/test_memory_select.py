@@ -1,8 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
+from fdrelay import engine
 from fdrelay.channel import config_from_snr_inr
+from fdrelay.engine import _run_trajectories, run_trajectories_batch
+from fdrelay.harness import SweepSpec, run_grid_point
 from fdrelay.memory_select import NoStableMemoryError, select_memory
 
 
@@ -50,3 +54,85 @@ def test_rejects_zero_realizations():
     cfg = config_from_snr_inr(0.0, 0.0, n_s=1, n_r=2)
     with pytest.raises(ValueError):
         select_memory(cfg, seed=0, realizations=0)
+
+
+def _restarted_search(cfg, seed, realizations, significance=1.0):
+    """The search as a fresh memory-m run of m+2 slots per candidate."""
+    probes = []
+    for m in range(1, 33):
+        stats = run_trajectories_batch(cfg.with_memory(m), "proposed", m + 2, seed, realizations)
+        diffs = stats.sum_mse[m] - stats.sum_mse[m + 1]
+        stderr = float(diffs.std(ddof=1) / math.sqrt(realizations))
+        stable = float(diffs.mean()) <= significance * stderr + 1e-12
+        probes.append((stats.sum_mse[m].mean(), stats.sum_mse[m + 1].mean(), stderr, stable))
+        if stable:
+            return m, probes
+    raise AssertionError("no stable memory")
+
+
+@pytest.mark.parametrize("snr_db, inr_db", [(20.0, 10.0), (-10.0, 0.0)])
+@pytest.mark.parametrize("memory", [1, 2, 3])
+def test_memory_window_prefix_equals_infinite_memory(snr_db, inr_db, memory):
+    # the window first truncates at slot m+2, so slots 1..m+1 are the infinite-memory run
+    cfg = config_from_snr_inr(snr_db, inr_db, n_s=2, n_r=3)
+    full = _run_trajectories(cfg, "proposed", memory + 2, 5, range(3))
+    windowed = _run_trajectories(cfg.with_memory(memory), "proposed", memory + 2, 5, range(3))
+    prefix = slice(0, memory + 1)
+    assert np.array_equal(windowed.sum_mse[prefix], full.sum_mse[prefix])
+    assert np.array_equal(windowed.rates[prefix], full.rates[prefix])
+    for dw, df in zip(windowed.designs[prefix], full.designs[prefix]):
+        for name in ("f_bar", "alpha", "r"):
+            assert np.array_equal(getattr(dw, name), getattr(df, name))
+    # slot m+2 is where they part
+    assert not np.array_equal(windowed.sum_mse[memory + 1], full.sum_mse[memory + 1])
+
+
+@pytest.mark.parametrize("snr_db, inr_db", [(-10.0, -math.inf), (-10.0, 0.0), (0.0, 0.0)])
+def test_search_matches_restarting_every_candidate(snr_db, inr_db):
+    cfg = config_from_snr_inr(snr_db, inr_db, n_s=1, n_r=2)
+    m_hat, expected = _restarted_search(cfg, seed=3, realizations=60)
+    selection = select_memory(cfg, seed=3, realizations=60)
+    assert selection.m_hat == m_hat
+    assert len(selection.probes) == len(expected)
+    for probe, (j1, j2, stderr, stable) in zip(selection.probes, expected):
+        assert probe.stable == stable
+        assert probe.j_at_m_plus_1 == pytest.approx(j1, rel=1e-12)
+        assert probe.j_at_m_plus_2 == pytest.approx(j2, rel=1e-12)
+        assert probe.diff_stderr == pytest.approx(stderr, rel=1e-9, abs=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "relay_only"])
+@pytest.mark.parametrize("slots", [3, 5, 8])
+def test_auto_memory_cell_equals_a_run_at_the_selected_memory(scheme, slots):
+    # seed 0 selects m_hat = 3: the cell truncates the winning probe (3 slots),
+    # returns it whole (5) or continues it (8)
+    spec = SweepSpec(snr_db=(-10.0,), inr_db=(0.0,), schemes=(scheme,), n_s=1, n_r=2, slots=slots,
+                     memory="auto", realizations=100, seed=0)
+    records = run_grid_point(spec, -10.0, 0.0, scheme)
+    assert {r.m_hat for r in records} == {"3"}
+    cfg = config_from_snr_inr(-10.0, 0.0, n_s=1, n_r=2).with_memory(3)
+    stats = run_trajectories_batch(cfg, scheme, slots, seed=0, realizations=100)
+    assert [r.slot for r in records] == list(range(1, slots + 1))
+    for record, mse, rate in zip(records, stats.sum_mse, stats.sum_rate):
+        assert record.m == "3"
+        assert record.mean_sum_mse == pytest.approx(mse.mean(), rel=1e-12)
+        assert record.se_sum_mse == pytest.approx(mse.std(ddof=1) / math.sqrt(100), rel=1e-9)
+        assert record.mean_sum_rate == pytest.approx(rate.mean(), rel=1e-12)
+        assert record.se_sum_rate == pytest.approx(rate.std(ddof=1) / math.sqrt(100), rel=1e-9)
+
+
+def test_search_designs_each_slot_once(monkeypatch):
+    # one shared infinite-memory pass to slot m_hat+1 plus one branched slot
+    # per candidate: 2 m_hat + 1 slot designs (restarting costs m_hat (m_hat + 5) / 2)
+    calls = []
+    real = engine.design_slot_batch
+
+    def counted(problem, pin_receive=False):
+        calls.append(pin_receive)
+        return real(problem, pin_receive)
+
+    monkeypatch.setattr(engine, "design_slot_batch", counted)
+    cfg = config_from_snr_inr(-10.0, 5.0, n_s=1, n_r=2)
+    selection = select_memory(cfg, seed=0, realizations=40)
+    assert selection.m_hat >= 3
+    assert len(calls) == 2 * selection.m_hat + 1
