@@ -82,7 +82,7 @@ class _Trajectories:
 
     sum_mse: np.ndarray
     rates: np.ndarray
-    designs: list[BatchDesign]
+    designs: tuple[BatchDesign, ...]
     channels: list[TimeSlotChannels]
 
     def stats(self) -> BatchTrajectoryStats:
@@ -200,10 +200,11 @@ class _TrajectoryState:
     channel draws (at least of slots 0..``slot``), per past slot the beamformer's
     squared norm tr(F_s F_s^H) and content trace tr(F_s M_{s-1} F_s^H), the
     Gram factor of the previous slot's relay transmission, and the per-slot
-    outputs.  Stored arrays are never modified in place, so :meth:`fork`
-    only copies the lists and a fork can be advanced with another memory
-    setting without touching its parent.  The channel list is shared, not
-    copied: a draw depends only on (seed, realization, slot), so whichever
+    outputs.  The per-slot histories are tuples that each slot replaces by a
+    longer one and stored arrays are never modified in place, so a shallow
+    copy is a :meth:`fork` that can be advanced with another memory setting
+    without touching its parent.  Only the channel list is mutable and shared
+    on purpose: a draw depends only on (seed, realization, slot), so whichever
     fork reaches a slot first draws it for all.
     """
 
@@ -211,12 +212,12 @@ class _TrajectoryState:
         self.seed = seed
         self.realizations = realizations
         self.channels = [_draw_stacked(cfg, seed, 0, realizations)]
-        self.f_norm_sq: list[np.ndarray] = []
-        self.content_trace: list[np.ndarray] = []
+        self.f_norm_sq: tuple[np.ndarray, ...] = ()
+        self.content_trace: tuple[np.ndarray, ...] = ()
         self.x_r_factor = None
-        self.sum_mse: list[np.ndarray] = []
-        self.rates: list[np.ndarray] = []
-        self.designs: list[BatchDesign] = []
+        self.sum_mse: tuple[np.ndarray, ...] = ()
+        self.rates: tuple[np.ndarray, ...] = ()
+        self.designs: tuple[BatchDesign, ...] = ()
 
     @property
     def slot(self) -> int:
@@ -224,10 +225,7 @@ class _TrajectoryState:
         return len(self.designs)
 
     def fork(self) -> "_TrajectoryState":
-        twin = copy.copy(self)
-        for name in ("f_norm_sq", "content_trace", "sum_mse", "rates", "designs"):
-            setattr(twin, name, list(getattr(self, name)))
-        return twin
+        return copy.copy(self)
 
     def advance(self, cfg: SystemConfig, scheme: str, until_slot: int) -> "_TrajectoryState":
         """Run slots ``slot``+1..``until_slot`` of ``scheme`` under ``cfg``; returns self.
@@ -250,9 +248,9 @@ class _TrajectoryState:
         return self
 
     def _record(self, sum_mse: np.ndarray, rates: np.ndarray, design: BatchDesign):
-        self.sum_mse.append(sum_mse)
-        self.rates.append(rates)
-        self.designs.append(design)
+        self.sum_mse += (sum_mse,)
+        self.rates += (rates,)
+        self.designs += (design,)
 
     def _step(self, cfg: SystemConfig, scheme: str, t: int):
         """Design, score and roll forward one full-duplex slot ``t``."""
@@ -299,11 +297,11 @@ class _TrajectoryState:
         if leak is not None:
             relay_input_factor = np.concatenate([relay_input_factor, leak], axis=2)
         self.x_r_factor = f @ relay_input_factor
-        self.f_norm_sq.append(fro_sq(f))
+        self.f_norm_sq += (fro_sq(f),)
         fh1 = f @ ch_prev.h_1r
         fh2 = f @ ch_prev.h_2r
-        self.content_trace.append(
-            cfg.p1 * fro_sq(fh1) + cfg.p2 * fro_sq(fh2) + cfg.sigma_n_sq_r * fro_sq(f)
+        self.content_trace += (
+            cfg.p1 * fro_sq(fh1) + cfg.p2 * fro_sq(fh2) + cfg.sigma_n_sq_r * fro_sq(f),
         )
 
     def result(self, slots: int) -> _Trajectories:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import MEMORY_AUTO, MEMORY_INFINITE, config_from_snr_inr
 from .engine import SCHEMES, run_trajectories_batch
-from .memory_select import _search as _search_memory
+from .memory_select import select_memory
 
 __all__ = [
     "SweepSpec",
@@ -140,18 +140,14 @@ def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -
         convergence_tol=spec.convergence_tol,
     )
     m_hat = ""
-    stats = None
     if spec.memory == MEMORY_AUTO and scheme in _MEMORY_SCHEMES:
-        selection, winner = _search_memory(cfg, seed=spec.seed, realizations=spec.realizations)
+        selection = select_memory(cfg, seed=spec.seed, realizations=spec.realizations)
         cfg = cfg.with_memory(selection.m_hat)
         m_hat = str(selection.m_hat)
-        if scheme == "proposed":
-            # the winning probe is this cell's trajectory up to slot m_hat+2
-            stats = winner.advance(cfg, scheme, spec.slots).result(spec.slots).stats()
-    if stats is None:
-        stats = run_trajectories_batch(
-            cfg, scheme, spec.slots, seed=spec.seed, realizations=spec.realizations
-        )
+
+    stats = run_trajectories_batch(
+        cfg, scheme, spec.slots, seed=spec.seed, realizations=spec.realizations
+    )
 
     m_display = _memory_to_str(cfg.memory) if scheme in _MEMORY_SCHEMES else ""
     records = []

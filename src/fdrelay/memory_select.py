@@ -70,22 +70,6 @@ def select_memory(
     :class:`NoStableMemoryError` once ``max_candidate`` probes fail (the raw
     stopping rule need not terminate).
     """
-    return _search(cfg, seed, realizations, max_candidate, significance)[0]
-
-
-def _search(
-    cfg: SystemConfig,
-    seed: int,
-    realizations: int,
-    max_candidate: int = 32,
-    significance: float = 1.0,
-) -> tuple[MemorySelection, _TrajectoryState]:
-    """:func:`select_memory` plus the winning probe's trajectories.
-
-    The second item holds realizations 0..``realizations``-1 of the proposed
-    scheme with memory m_hat, run up to slot m_hat+2, for a caller that
-    continues them.
-    """
     if realizations < 1:
         raise ValueError("need at least one realization")
     shared = _TrajectoryState(cfg, seed, range(realizations))
@@ -109,7 +93,7 @@ def _search(
             )
         )
         if stable:
-            return MemorySelection(m_hat=candidate, probes=tuple(probes)), branch
+            return MemorySelection(m_hat=candidate, probes=tuple(probes))
     raise NoStableMemoryError(
         f"no stable memory in 1..{max_candidate} "
         f"(last averaged MSE pair {probes[-1].j_at_m_plus_1:.4g} -> {probes[-1].j_at_m_plus_2:.4g})"

@@ -102,10 +102,9 @@ def test_search_matches_restarting_every_candidate(snr_db, inr_db):
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "relay_only"])
-@pytest.mark.parametrize("slots", [3, 5, 8])
-def test_auto_memory_cell_equals_a_run_at_the_selected_memory(scheme, slots):
-    # seed 0 selects m_hat = 3: the cell truncates the winning probe (3 slots),
-    # returns it whole (5) or continues it (8)
+def test_auto_memory_cell_equals_a_run_at_the_selected_memory(scheme):
+    # seed 0 selects m_hat = 3
+    slots = 8
     spec = SweepSpec(snr_db=(-10.0,), inr_db=(0.0,), schemes=(scheme,), n_s=1, n_r=2, slots=slots,
                      memory="auto", realizations=100, seed=0)
     records = run_grid_point(spec, -10.0, 0.0, scheme)
