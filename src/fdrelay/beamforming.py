@@ -10,11 +10,16 @@ solution:
   is solved in its structured form (:class:`RelaySystem`: a Sylvester
   operator plus a rank-2 n_s^2 correction, inverted by the Woodbury
   identity at O(n_r^3) per system; the n_r^2 x n_r^2 Kronecker form is only
-  the per-realization reference and the fallback when the structured solution
-  misses its residual check); the solution is renormalized to unit Frobenius
-  norm with alpha restored from the transmit power constraint
-  tr(F G_r F^H) = n_r pr (the physical F is invariant to that rescaling);
+  the fallback when the structured solution misses its residual check); the
+  solution is renormalized to unit Frobenius norm with alpha restored from the
+  transmit power constraint tr(F G_r F^H) = n_r pr (the physical F is
+  invariant to that rescaling);
 * receive step: per-source regularized Wiener inverse.
+
+Both steps and the sum MSE exist once, batched over realizations, in
+:class:`SlotProblem` and :class:`RelaySystem`; the per-realization functions
+(:func:`build_slot_operators`, :func:`solve_relay_beamformer`, ...) call them
+with a batch of one.
 
 Alternating the two steps never increases the sum MSE, because each solves
 its subproblem exactly and the receive update absorbs the scaling
@@ -78,6 +83,7 @@ class DegenerateObjectiveError(ValueError):
 class SlotOperators:
     """All operators of one slot's design, for the receive matrices they were built with.
 
+    A :class:`SlotProblem` and its :class:`RelaySystem` for a batch of one.
     g1/g2/gr are the relay-input covariances seen by source 1's estimate,
     source 2's estimate, and the transmit power; they do not depend on the
     receive matrices.  w_f0 is the desired-signal operator, w_f1/w_f2 the
@@ -85,19 +91,16 @@ class SlotOperators:
     source-loopback power picked up by the receive matrices.
     """
 
-    g1: np.ndarray
-    g2: np.ndarray
-    gr: np.ndarray
-    w_f0: np.ndarray
-    w_f1: np.ndarray
-    w_f2: np.ndarray
-    w_f_scalar: float
-    nu_1: float  # n_s p1 sigma_e1^2 + sigma_n1^2
-    nu_2: float  # n_s p2 sigma_e2^2 + sigma_n2^2
-    h_r1: np.ndarray
-    h_r2: np.ndarray
-    h_1r_prev: np.ndarray
-    h_2r_prev: np.ndarray
+    problem: SlotProblem
+    system: RelaySystem
+
+    g1 = property(lambda self: self.problem.g[0, 0])
+    g2 = property(lambda self: self.problem.g[0, 1])
+    gr = property(lambda self: self.problem.gr[0])
+    w_f0 = property(lambda self: self.system.w0[0])
+    w_f1 = property(lambda self: self.system.w[0, 0])
+    w_f2 = property(lambda self: self.system.w[0, 1])
+    w_f_scalar = property(lambda self: float(self.system.c[0] * self.problem.budget))
 
 
 @dataclass(frozen=True)
@@ -134,16 +137,6 @@ class BeamformingSolution:
     j_trace: tuple[float, ...] = field(default=())
 
 
-def relay_input_covariances(
-    ch_prev: TimeSlotChannels, g_c: ResidualSICovariance, cfg: SystemConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g1, g2, gr) from the previous slot's inbound channels and residual SI."""
-    hh1 = cfg.p1 * (ch_prev.h_1r @ ch_prev.h_1r.conj().T)
-    hh2 = cfg.p2 * (ch_prev.h_2r @ ch_prev.h_2r.conj().T)
-    base = (g_c.scale + cfg.sigma_n_sq_r) * np.eye(cfg.n_r)
-    return base + hh2, base + hh1, base + hh1 + hh2
-
-
 def build_slot_operators(
     ch_t: TimeSlotChannels,
     ch_prev: TimeSlotChannels,
@@ -155,44 +148,23 @@ def build_slot_operators(
     """Assemble one slot's operators for the given receive matrices."""
     if ch_t.h_r1.shape != (cfg.n_s, cfg.n_r) or ch_prev.h_1r.shape != (cfg.n_r, cfg.n_s):
         raise ValueError("channel dimensions inconsistent with configuration")
-    g1, g2, gr = relay_input_covariances(ch_prev, g_c, cfg)
-
-    b1 = r1.conj().T @ ch_t.h_r1  # R_1^H H_r1
-    b2 = r2.conj().T @ ch_t.h_r2
-    w_f1 = b1.conj().T @ b1
-    w_f2 = b2.conj().T @ b2
-    w_f0 = cfg.p1 * ch_t.h_r2.conj().T @ r2 @ ch_prev.h_1r.conj().T \
-        + cfg.p2 * ch_t.h_r1.conj().T @ r1 @ ch_prev.h_2r.conj().T
-    nu_1, nu_2 = cfg.nu
-    w_f_scalar = nu_1 * frobenius_sq(r1) + nu_2 * frobenius_sq(r2)
-    return SlotOperators(
-        g1=g1, g2=g2, gr=gr,
-        w_f0=w_f0, w_f1=w_f1, w_f2=w_f2, w_f_scalar=w_f_scalar,
-        nu_1=nu_1, nu_2=nu_2,
-        h_r1=ch_t.h_r1, h_r2=ch_t.h_r2,
-        h_1r_prev=ch_prev.h_1r, h_2r_prev=ch_prev.h_2r,
-    )
+    problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
+    return SlotOperators(problem, RelaySystem(problem, np.stack([r1, r2])[None]))
 
 
 def solve_relay_beamformer(ops: SlotOperators, cfg: SystemConfig) -> RelaySolution:
     """Closed-form relay steering/amplification for fixed receive matrices.
 
-    Raises :class:`DegenerateObjectiveError` when the desired-signal operator
-    is exactly zero (zero source power or zero receive matrices), since
+    The relay step of :meth:`RelaySystem.solve_stationarity`.  Raises
+    :class:`DegenerateObjectiveError` when the desired-signal operator is
+    exactly zero (zero source power or zero receive matrices), since
     normalizing a zero steering matrix would hide a configuration error.
     """
-    if not np.any(ops.w_f0):
-        raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
-    power_budget = cfg.n_r * cfg.pr
-    raw = _dense_relay_solve((ops.g1, ops.g2), ops.gr, (ops.w_f1, ops.w_f2),
-                             ops.w_f_scalar / power_budget, ops.w_f0)
+    raw = ops.system.solve_stationarity()[0][0]
     prenorm_scale = float(np.linalg.norm(raw))
     f_bar = raw / prenorm_scale
-    gain = float(np.real(np.trace(f_bar @ ops.gr @ f_bar.conj().T)))
-    if gain <= 0.0:
-        raise ValueError("tr(F G_r F^H) <= 0: relay input covariance is corrupt")
-    alpha = math.sqrt(power_budget / gain)
-    lam = ops.w_f_scalar * gain / power_budget**2
+    alpha = float(ops.problem.amplification(f_bar[None])[0])
+    lam = ops.w_f_scalar / (alpha**2 * ops.problem.budget)
     return RelaySolution(f_bar=f_bar, alpha=alpha, lam=lam, prenorm_scale=prenorm_scale)
 
 
@@ -201,22 +173,19 @@ def solve_receive_beamformers(
     ch_prev: TimeSlotChannels,
     f: np.ndarray,
     alpha: float,
-    g1: np.ndarray,
-    g2: np.ndarray,
+    g_c: ResidualSICovariance,
     cfg: SystemConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form receive matrices: R_l = alpha p_lbar (B G_l B^H + nu_l I)^-1 B H_lbar.
+    """Closed-form receive matrices (:meth:`SlotProblem.wiener` for one realization).
 
-    B is the source-l end-to-end forward channel H_rl F.  The composite
-    estimator (1/alpha) R_l^H does not depend on alpha.
+    R_l = alpha p_lbar (C G_l C^H + nu_l I)^-1 C H_lbar with C = H_rl F, the
+    source-l end-to-end forward channel, and G_l the relay-input covariance
+    for residual SI ``g_c``.  The composite estimator (1/alpha) R_l^H does not
+    depend on alpha.
     """
-    nu_1, nu_2 = cfg.nu
-    eye = np.eye(cfg.n_s)
-    c1 = ch_t.h_r1 @ f
-    c2 = ch_t.h_r2 @ f
-    r1 = alpha * cfg.p2 * np.linalg.solve(c1 @ g1 @ c1.conj().T + nu_1 * eye, c1 @ ch_prev.h_2r)
-    r2 = alpha * cfg.p1 * np.linalg.solve(c2 @ g2 @ c2.conj().T + nu_2 * eye, c2 @ ch_prev.h_1r)
-    return r1, r2
+    problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
+    r = problem.wiener(np.asarray(f)[None], np.array([alpha]))[0][0]
+    return r[0], r[1]
 
 
 def evaluate_sum_mse(
@@ -227,25 +196,13 @@ def evaluate_sum_mse(
     r2: np.ndarray,
     cfg: SystemConfig,
 ) -> float:
-    """Analytic sum MSE of both source estimates for the given design.
+    """Analytic sum MSE of both source estimates for the given design (:meth:`SlotProblem.objective`).
 
     Uses the closed-form signal expectations (never sampling).  The receive
     matrices are taken from the arguments, not from the ones ``ops`` was built
     with, so the objective can be tracked right after a receive update.
     """
-    f = alpha * f_bar
-    w_f0 = cfg.p1 * ops.h_r2.conj().T @ r2 @ ops.h_1r_prev.conj().T \
-        + cfg.p2 * ops.h_r1.conj().T @ r1 @ ops.h_2r_prev.conj().T
-    cross = 2.0 * float(np.real(np.vdot(w_f0, f)))
-    e1 = r1.conj().T @ ops.h_r1 @ f
-    e2 = r2.conj().T @ ops.h_r2 @ f
-    quad = (
-        float(np.real(np.trace(e1 @ ops.g1 @ e1.conj().T)))
-        + float(np.real(np.trace(e2 @ ops.g2 @ e2.conj().T)))
-        + ops.nu_1 * frobenius_sq(r1)
-        + ops.nu_2 * frobenius_sq(r2)
-    )
-    return cfg.n_s * (cfg.p1 + cfg.p2) - cross / alpha + quad / alpha**2
+    return float(ops.problem.objective(f_bar[None], np.array([alpha]), np.stack([r1, r2])[None])[0])
 
 
 def _receive_coords(z: np.ndarray) -> np.ndarray:
@@ -515,21 +472,11 @@ class RelaySystem:
         raw = x[:, 0]
         residual = np.linalg.norm(self.residual(raw), axis=(1, 2))
         bad = ~(residual <= _SOLVE_RESIDUAL_LIMIT * np.maximum(np.linalg.norm(w0, axis=(1, 2)), 1e-300))
-        p = self.problem
+        p, n_r = self.problem, w0.shape[-1]
         for idx in np.nonzero(bad)[0]:
-            raw[idx] = _dense_relay_solve(p.g[idx], p.gr[idx], self.w[idx], self.c[idx], w0[idx])
+            k = sum(kron(g.T, w) for g, w in zip(p.g[idx], self.w[idx])) + kron(p.gr[idx].T, self.c[idx] * np.eye(n_r))
+            raw[idx] = mat(solve_linear(k, vec(w0[idx])), n_r, n_r)
         return raw, x[:, 1:], bad
-
-
-def _dense_relay_solve(g, gr: np.ndarray, w, scale: float, w0: np.ndarray) -> np.ndarray:
-    """X with W_1 X G_1 + W_2 X G_2 + scale X G_r = W_0, via the n_r^2 x n_r^2 Kronecker system.
-
-    Raises SingularSystemError (from solve_linear) when that system is
-    singular to tolerance.
-    """
-    n_r = w0.shape[-1]
-    k = kron(g[0].T, w[0]) + kron(g[1].T, w[1]) + kron(gr.T, scale * np.eye(n_r))
-    return mat(solve_linear(k, vec(w0)), n_r, n_r)
 
 
 def _unit(f: np.ndarray) -> np.ndarray:
@@ -756,10 +703,9 @@ def alternate_optimize(
     relay-then-receive alternation step; later ones accelerate it with
     damped Newton steps on the receive-eliminated objective, accepted only
     when they lower it (up to rounding), so ``j_trace`` does not increase.
-    The returned
-    receive matrices are the Wiener solution for the returned relay
-    beamformer.  With ``pin_receive`` the receive matrices stay at identity
-    (relay-only design).
+    The returned receive matrices are the Wiener solution for the returned
+    relay beamformer.  With ``pin_receive`` the receive matrices stay at
+    identity (relay-only design).
     """
     problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
     return design_slot_batch(problem, pin_receive).solution(0, cfg)

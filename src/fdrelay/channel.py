@@ -25,10 +25,21 @@ __all__ = [
     "slot_rng",
     "draw_slot_channels",
     "crandn",
+    "check_memory",
 ]
 
 MEMORY_INFINITE = math.inf
 MEMORY_AUTO = "auto"
+
+
+def check_memory(memory, allow_auto: bool = False):
+    """``memory`` if it is a positive integer or infinite (or, with ``allow_auto``, 'auto'); else ValueError."""
+    if memory == MEMORY_INFINITE or (allow_auto and memory == MEMORY_AUTO):
+        return memory
+    if isinstance(memory, str) or not float(memory).is_integer() or memory < 1:
+        kinds = "a positive integer, infinite, or 'auto'" if allow_auto else "a positive integer or infinite"
+        raise ValueError(f"memory must be {kinds}, got {memory!r}")
+    return memory
 
 
 @dataclass(frozen=True)
@@ -67,9 +78,7 @@ class SystemConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.memory != MEMORY_AUTO:
-            if not (self.memory == MEMORY_INFINITE or (float(self.memory).is_integer() and self.memory >= 1)):
-                raise ValueError("memory must be a positive integer, infinite, or 'auto'")
+        check_memory(self.memory, allow_auto=True)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol < 0:

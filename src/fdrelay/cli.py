@@ -104,8 +104,18 @@ def _spec_from_args(args) -> SweepSpec:
     return SweepSpec(**values)
 
 
-def _run_sweep_command(args) -> int:
+def _single_point_spec(args) -> SweepSpec:
     spec = _spec_from_args(args)
+    if len(spec.snr_db) != 1 or len(spec.inr_db) != 1:
+        raise SystemExit(f"{args.command} takes a single SNR and a single INR value")
+    return spec
+
+
+def _run_sweep_command(args) -> int:
+    return _sweep(args, _spec_from_args(args))
+
+
+def _sweep(args, spec: SweepSpec) -> int:
     result = run_sweep(spec, jobs=args.jobs)
     emit_results(result, args.format, args.out)
     print(f"wrote {len(result.records)} records to {args.out}")
@@ -119,15 +129,11 @@ def _run_sweep_command(args) -> int:
 
 
 def _run_trajectory_command(args) -> int:
-    if len(args.snr_db) != 1 or len(args.inr_db) != 1:
-        raise SystemExit("trajectory takes a single SNR and a single INR value")
-    return _run_sweep_command(args)
+    return _sweep(args, _single_point_spec(args))
 
 
 def _run_select_memory_command(args) -> int:
-    spec = _spec_from_args(args)
-    if len(spec.snr_db) != 1 or len(spec.inr_db) != 1:
-        raise SystemExit("select-memory takes a single SNR and a single INR value")
+    spec = _single_point_spec(args)
     cfg = config_from_snr_inr(
         spec.snr_db[0], spec.inr_db[0], n_s=spec.n_s, n_r=spec.n_r,
         max_iterations=spec.iterations, convergence_tol=spec.convergence_tol,

@@ -10,9 +10,16 @@ that dominates at these matrix sizes.  :func:`run_trajectories_batch` runs
 realizations 0..R-1 of a grid point and :func:`fdrelay.simulate.run_trajectory`
 one realization with its designs; both go through the same loop.  The loop
 is resumable: the memory search advances one infinite-memory trajectory and
-forks it for each candidate memory (see :mod:`fdrelay.memory_select`).  The
-per-realization formulas in ``beamforming``, ``si_propagation`` and
-``metrics`` are independent references that the tests compare it against.
+forks it for each candidate memory (see :mod:`fdrelay.memory_select`).
+
+Each formula of a slot exists once, batched over realizations: the design,
+the true MSE and the Wiener receivers in :class:`fdrelay.beamforming.SlotProblem`
+and :class:`fdrelay.beamforming.RelaySystem`, the residual-SI scale in
+:func:`fdrelay.si_propagation.residual_si_scale`, the rate in
+:func:`_batch_rates` with :func:`_content_factor_batch`.  The per-realization
+entry points of ``beamforming``, ``si_propagation`` and ``metrics`` call them
+with a stack of one.  Independent checks are the sampling oracles in
+:mod:`fdrelay.validation` and the hand-written formulas in the tests.
 
 Scheme semantics:
 
@@ -55,6 +62,7 @@ from .channel import (
     slot_rng,
 )
 from .matrix_core import fro_sq, herm
+from .si_propagation import content_trace, residual_si_scale
 
 __all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
 
@@ -109,9 +117,11 @@ def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r)
     """Batched rates (R, 2) of the streams decoded at source 1 and source 2.
 
     ``core_factor`` is the Gram factor of the relay-side interference.
-    Covariances are carried as Gram factors and each rate is computed in the
-    whitened factor domain (see metrics.whitened_log_rate), which stays well
-    conditioned when the amplified error chains grow geometrically.
+    Covariances are carried as Gram factors N N^H and S S^H, and each rate
+    log2 det(I + S S^H (N N^H)^-1) is computed in the whitened factor domain,
+    from the singular values of (U_N^H S) / s_N, where N = U_N diag(s_N) V^H.
+    That stays well conditioned when the amplified error chains grow
+    geometrically, and is nonnegative by construction.
     """
     inv_alpha = (1.0 / alpha)[:, None, None]
     rates = []
@@ -148,31 +158,6 @@ def _content_factor_batch(cfg: SystemConfig, ch: TimeSlotChannels) -> np.ndarray
         ],
         axis=2,
     )
-
-
-def _design_si_scale(cfg, memory, t, f_norm_sq, content_trace, realizations) -> np.ndarray:
-    """Batched residual-SI covariance scale (same gating as si_propagation)."""
-    r = realizations
-    sigma_sq = cfg.sigma_e_sq_r
-    if sigma_sq == 0.0 or t < 2:
-        return np.zeros(r)
-    # f_norm_sq[s-1] / content_trace[s-1] belong to the slot-s beamformer.
-    scale = sigma_sq * content_trace[t - 2]
-    if t >= 3 and memory >= 2:
-        outer = np.ones(r)
-        for depth in range(2, int(min(memory, t - 1)) + 1):
-            outer = outer * f_norm_sq[t - depth]
-            scale = scale + sigma_sq**depth * outer * content_trace[t - depth - 1]
-    if memory != MEMORY_INFINITE and t >= memory + 2:
-        m_int = int(memory)
-        outer = np.ones(r)
-        for j in range(t - m_int + 1, t):
-            outer = outer * f_norm_sq[j - 1]
-        oldest_norm = f_norm_sq[t - m_int - 1]
-        content = content_trace[t - m_int - 1]
-        for depth in range(m_int + 1, t):
-            scale = scale + sigma_sq**depth * outer * oldest_norm ** (depth - m_int) * content
-    return scale
 
 
 def _half_duplex_slot(cfg: SystemConfig, ch_mac: TimeSlotChannels,
@@ -259,7 +244,7 @@ class _TrajectoryState:
         if scheme == "conventional":
             g_design = np.zeros(size)
         else:
-            g_design = _design_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, size)
+            g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, size)
         problem = _slot_problem(cfg, ch_t, ch_prev, g_design)
         design = design_slot_batch(problem, scheme == "relay_only")
         f_bar, alpha, r = design.f_bar, design.alpha, design.r
@@ -269,7 +254,7 @@ class _TrajectoryState:
         if scheme != "conventional" and t < cfg.memory + 2:
             j_true = design.j
         else:
-            g_true = _design_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, size)
+            g_true = residual_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, size)
             true_problem = _slot_problem(cfg, ch_t, ch_prev, g_true)
             if scheme == "conventional":
                 # gain control: the true transmit power meets the budget even
@@ -298,11 +283,7 @@ class _TrajectoryState:
             relay_input_factor = np.concatenate([relay_input_factor, leak], axis=2)
         self.x_r_factor = f @ relay_input_factor
         self.f_norm_sq += (fro_sq(f),)
-        fh1 = f @ ch_prev.h_1r
-        fh2 = f @ ch_prev.h_2r
-        self.content_trace += (
-            cfg.p1 * fro_sq(fh1) + cfg.p2 * fro_sq(fh2) + cfg.sigma_n_sq_r * fro_sq(f),
-        )
+        self.content_trace += (content_trace(cfg, f, ch_prev.h_1r, ch_prev.h_2r),)
 
     def result(self, slots: int) -> _Trajectories:
         """Slots 1..``slots`` (at most :attr:`slot`) as :class:`_Trajectories`."""

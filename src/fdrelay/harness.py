@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .channel import MEMORY_AUTO, MEMORY_INFINITE, config_from_snr_inr
+from .channel import MEMORY_AUTO, MEMORY_INFINITE, check_memory, config_from_snr_inr
 from .engine import SCHEMES, run_trajectories_batch
 from .memory_select import select_memory
 
@@ -68,6 +68,7 @@ class SweepSpec:
             raise ValueError("SNR and INR grids must be non-empty")
         if self.realizations < 1 or self.slots < 1:
             raise ValueError("realizations and slots must be >= 1")
+        check_memory(self.memory, allow_auto=True)
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; valid: {SCHEMES}")

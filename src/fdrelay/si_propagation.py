@@ -20,10 +20,12 @@ place of the forgotten ones.  Three gates select which chain groups exist:
 The covariance is exactly a nonnegative scalar times I, so it is stored by its
 scalar with a matrix view for generic code paths.
 
-This module is the per-realization reference for the scale; the simulator
-computes it batched over realizations in :mod:`fdrelay.engine`.  The history
-keeps every pushed slot: a finite design memory truncates the covariance
-model, not the record.
+:func:`residual_si_scale` is the one implementation of the scale, batched over
+realizations: the engine's slot loop calls it with the traces it carries, and
+:func:`residual_si_covariance` with those of a :class:`RelayHistory` (which
+keeps every pushed slot) as a stack of one.  Independent checks are the
+sampling oracle :func:`fdrelay.validation.simulate_signal_chain` and the
+hand-written chain sums in the tests.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MEMORY_AUTO, MEMORY_INFINITE, SystemConfig
-from .matrix_core import frobenius_sq
+from .channel import MEMORY_INFINITE, SystemConfig, check_memory
+from .matrix_core import fro_sq, frobenius_sq
 
 __all__ = [
     "MissingHistoryError",
@@ -41,6 +43,8 @@ __all__ = [
     "RelayHistory",
     "ResidualSICovariance",
     "si_term_gates",
+    "content_trace",
+    "residual_si_scale",
     "residual_si_covariance",
 ]
 
@@ -132,21 +136,53 @@ def si_term_gates(t: int, memory: int | float) -> tuple[bool, bool, bool]:
     """
     if t < 1:
         raise ValueError("slot index must be >= 1")
-    if memory != MEMORY_INFINITE and (not float(memory).is_integer() or memory < 1):
-        raise ValueError("memory must be a positive integer or infinite")
+    check_memory(memory)
     one_step = t >= 2
     window = t >= 3 and memory >= 2
     beyond = memory != MEMORY_INFINITE and t >= memory + 2
     return one_step, window, beyond
 
 
-def _content_trace(entry: HistoryEntry, cfg: SystemConfig) -> float:
-    """tr{F (p1 H1 H1^H + p2 H2 H2^H + sigma_nr^2 I) F^H} for one entry."""
-    return (
-        cfg.p1 * frobenius_sq(entry.f @ entry.h_1r)
-        + cfg.p2 * frobenius_sq(entry.f @ entry.h_2r)
-        + cfg.sigma_n_sq_r * entry.f_norm_sq
-    )
+def content_trace(cfg: SystemConfig, f: np.ndarray, h_1r: np.ndarray, h_2r: np.ndarray) -> np.ndarray:
+    """tr{F (p1 H1 H1^H + p2 H2 H2^H + sigma_nr^2 I) F^H} for stacks of F and inbound channels."""
+    return cfg.p1 * fro_sq(f @ h_1r) + cfg.p2 * fro_sq(f @ h_2r) + cfg.sigma_n_sq_r * fro_sq(f)
+
+
+def residual_si_scale(cfg: SystemConfig, memory: int | float, t: int, f_norm_sq, content_traces,
+                      realizations: int) -> np.ndarray:
+    """Residual-SI covariance scale of slot ``t`` for a stack of ``realizations`` trajectories.
+
+    ``f_norm_sq[s - 1]`` and ``content_traces[s - 1]`` hold, per realization,
+    tr(F_s F_s^H) and the :func:`content_trace` of the beamformer applied in
+    slot s; only the slots that the gated chain groups need are read.
+    """
+    one_step, window, beyond = si_term_gates(t, memory)
+    sigma_sq = cfg.sigma_e_sq_r
+    if sigma_sq == 0.0 or not one_step:
+        return np.zeros(realizations)
+    scale = sigma_sq * content_traces[t - 2]
+    if window:
+        outer = np.ones(realizations)  # product of tr(F_j F_j^H) over the chain's outer beamformers
+        for depth in range(2, int(min(memory, t - 1)) + 1):
+            outer = outer * f_norm_sq[t - depth]
+            scale = scale + sigma_sq**depth * outer * content_traces[t - depth - 1]
+    if beyond:
+        m_int = int(memory)
+        outer = np.ones(realizations)
+        for j in range(t - m_int + 1, t):
+            outer = outer * f_norm_sq[j - 1]
+        oldest_norm = f_norm_sq[t - m_int - 1]
+        content = content_traces[t - m_int - 1]
+        for depth in range(m_int + 1, t):
+            scale = scale + sigma_sq**depth * outer * oldest_norm ** (depth - m_int) * content
+    return scale
+
+
+class _SlotSeries(dict):
+    """Per-slot values keyed s - 1 for slot s, as :func:`residual_si_scale` reads them."""
+
+    def __missing__(self, index: int):
+        raise MissingHistoryError(index + 1)
 
 
 def residual_si_covariance(
@@ -162,33 +198,9 @@ def residual_si_covariance(
     when a gated term needs a slot the history does not hold, such as one
     before its first entry.
     """
-    if t is None:
-        t = history.next_slot
-    m = cfg.memory if memory is None else memory
-    if m == MEMORY_AUTO:
-        raise ValueError("memory 'auto' must be resolved before covariance evaluation")
-
-    sigma_sq = cfg.sigma_e_sq_r
-    one_step, window, beyond = si_term_gates(t, m)
-    if sigma_sq == 0.0 or not one_step:
-        return ResidualSICovariance.zero(cfg.n_r)
-
-    scale = sigma_sq * _content_trace(history.entry(t - 1), cfg)
-
-    if window:
-        outer = 1.0  # product of tr(F_j F_j^H) over the chain's outer beamformers
-        for depth in range(2, int(min(m, t - 1)) + 1):
-            outer *= history.entry(t - depth + 1).f_norm_sq
-            scale += sigma_sq**depth * outer * _content_trace(history.entry(t - depth), cfg)
-
-    if beyond:
-        m_int = int(m)
-        oldest = history.entry(t - m_int)
-        outer = 1.0
-        for j in range(t - m_int + 1, t):
-            outer *= history.entry(j).f_norm_sq
-        content = _content_trace(oldest, cfg)
-        for depth in range(m_int + 1, t):
-            scale += sigma_sq**depth * outer * oldest.f_norm_sq ** (depth - m_int) * content
-
-    return ResidualSICovariance(scale=float(scale), n_r=cfg.n_r)
+    t = history.next_slot if t is None else t
+    entries = history._entries.items()
+    norms = _SlotSeries({s - 1: np.array([e.f_norm_sq]) for s, e in entries})
+    contents = _SlotSeries({s - 1: content_trace(cfg, e.f[None], e.h_1r[None], e.h_2r[None]) for s, e in entries})
+    scale = residual_si_scale(cfg, cfg.memory if memory is None else memory, t, norms, contents, 1)
+    return ResidualSICovariance(scale=float(scale[0]), n_r=cfg.n_r)

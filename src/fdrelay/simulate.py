@@ -48,17 +48,8 @@ def run_trajectory(
     identical channels (paired comparisons).
     """
     out = _run_trajectories(cfg, scheme, slots, seed, [realization])
-    metrics = tuple(
-        SlotMetrics(
-            slot_index=t,
-            scheme=scheme,
-            sum_mse=float(out.sum_mse[t - 1, 0]),
-            sum_rate=float(rate_1 + rate_2),
-            rate_1=float(rate_1),
-            rate_2=float(rate_2),
-        )
-        for t, (rate_1, rate_2) in enumerate(out.rates[:, 0], start=1)
-    )
+    metrics = tuple(SlotMetrics.from_rates(t, scheme, out.sum_mse[t - 1, 0], rates)
+                    for t, rates in enumerate(out.rates[:, 0], start=1))
     solutions = () if scheme == "half_duplex" else tuple(d.solution(0, cfg) for d in out.designs)
     return TrajectoryResult(
         metrics=metrics,

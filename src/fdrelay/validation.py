@@ -20,8 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beamforming import BeamformingSolution, SlotOperators, alternate_optimize, build_slot_operators
-from .channel import MEMORY_INFINITE, SystemConfig, crandn
+from .channel import (MEMORY_INFINITE, SystemConfig, check_memory, config_from_snr_inr, crandn,
+                      draw_slot_channels, slot_rng)
 from .matrix_core import chained_error_trace_mean
+from .si_propagation import RelayHistory, ResidualSICovariance, residual_si_covariance
+from .simulate import run_trajectory
 
 __all__ = [
     "chained_error_trace_sample_mean",
@@ -124,12 +127,7 @@ def simulate_signal_chain(
     t = len(solutions)
     if len(channels) != t + 1 or t < 1:
         raise ValueError("need channels for slots 0..t and solutions for slots 1..t")
-    if memory is not None and memory != MEMORY_INFINITE:
-        if not float(memory).is_integer() or memory < 1:
-            raise ValueError("memory must be a positive integer or infinite")
-        memory = int(memory)
-    else:
-        memory = None
+    memory = None if memory in (None, MEMORY_INFINITE) else int(check_memory(memory))
 
     n = int(n_samples)
     n_s, n_r = cfg.n_s, cfg.n_r
@@ -246,14 +244,10 @@ def brute_force_relay_opt(
     """
     n_r = cfg.n_r
 
-    def matched_beamformer(d):
-        gain = float(np.real(np.trace(d @ ops.gr @ d.conj().T)))
-        return math.sqrt(cfg.n_r * cfg.pr / gain) * d
-
     best_d = np.eye(n_r) / math.sqrt(n_r)
     best_j = float(feasible_relay_objective(ops, cfg, best_d)[0])
     if budget <= 0:
-        return best_j, matched_beamformer(best_d)
+        return best_j, ops.problem.amplification(best_d[None])[0] * best_d
 
     def consider(batch):
         nonlocal best_d, best_j
@@ -279,7 +273,7 @@ def brute_force_relay_opt(
         remaining -= size
         spread *= 0.5
 
-    return best_j, matched_beamformer(best_d)
+    return best_j, ops.problem.amplification(best_d[None])[0] * best_d
 
 
 @dataclass(frozen=True)
@@ -304,10 +298,6 @@ def run_oracle_suite(seed: int = 0, draws: int = 20000) -> list[OracleCheck]:
     Runs at toy dimensions (n_s=1, n_r=2) and compares every closed form
     against its sampling counterpart.
     """
-    from .channel import config_from_snr_inr
-    from .si_propagation import RelayHistory, residual_si_covariance
-    from .simulate import run_trajectory
-
     rng = np.random.default_rng(seed)
     checks: list[OracleCheck] = []
 
@@ -365,15 +355,12 @@ def run_oracle_suite(seed: int = 0, draws: int = 20000) -> list[OracleCheck]:
     )
 
     # Closed-form relay design never loses to random search.
-    from .si_propagation import ResidualSICovariance as _RSC
-    from .channel import draw_slot_channels, slot_rng
-
     worst_gap = -np.inf
     for k in range(3):
         ch0 = draw_slot_channels(cfg, slot_rng(seed, 100 + k, 0), 0)
         ch1 = draw_slot_channels(cfg, slot_rng(seed, 100 + k, 1), 1)
-        sol = alternate_optimize(ch1, ch0, _RSC.zero(cfg.n_r), cfg)
-        ops = build_slot_operators(ch1, ch0, _RSC.zero(cfg.n_r), np.eye(1), np.eye(1), cfg)
+        sol = alternate_optimize(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), cfg)
+        ops = build_slot_operators(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), np.eye(1), np.eye(1), cfg)
         best_j, _ = brute_force_relay_opt(ops, cfg, budget=draws, rng=rng)
         worst_gap = max(worst_gap, sol.j_value - best_j)
     checks.append(

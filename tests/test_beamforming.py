@@ -12,7 +12,6 @@ from fdrelay.beamforming import (
     build_slot_operators,
     design_slot_batch,
     evaluate_sum_mse,
-    relay_input_covariances,
     solve_receive_beamformers,
     solve_relay_beamformer,
 )
@@ -126,8 +125,7 @@ def test_relay_solver_rejects_zero_objective():
 def test_receive_zero_forward_signal_gives_zero(rng):
     cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=3)
     ch1, ch0 = _instance(cfg, 6)
-    g1 = g2 = np.eye(3, dtype=complex)
-    r1, r2 = solve_receive_beamformers(ch1, ch0, np.zeros((3, 3)), 1.0, g1, g2, cfg)
+    r1, r2 = solve_receive_beamformers(ch1, ch0, np.zeros((3, 3)), 1.0, ResidualSICovariance.zero(3), cfg)
     assert not r1.any()
     assert not r2.any()
 
@@ -137,13 +135,13 @@ def test_receive_scalar_wiener_form(rng):
     ch1, ch0 = _instance(cfg, 7)
     f = crandn(rng, 1, 1)
     alpha = 1.3
-    g1 = np.array([[0.9 + 0j]])
-    g2 = np.array([[1.4 + 0j]])
-    r1, r2 = solve_receive_beamformers(ch1, ch0, f, alpha, g1, g2, cfg)
+    g_c = ResidualSICovariance(scale=0.4, n_r=1)
+    r1, r2 = solve_receive_beamformers(ch1, ch0, f, alpha, g_c, cfg)
     h_r1 = ch1.h_r1[0, 0]
     h_2r = ch0.h_2r[0, 0]
+    g1 = g_c.scale + cfg.sigma_n_sq_r + cfg.p2 * abs(h_2r) ** 2  # source 2's content is the desired part
     nu_1 = cfg.p1 * cfg.sigma_e_sq_1 + cfg.sigma_n_sq_1
-    expected = alpha * cfg.p2 * h_r1 * f[0, 0] * h_2r / (abs(h_r1 * f[0, 0]) ** 2 * g1[0, 0].real + nu_1)
+    expected = alpha * cfg.p2 * h_r1 * f[0, 0] * h_2r / (abs(h_r1 * f[0, 0]) ** 2 * g1 + nu_1)
     assert r1[0, 0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -153,8 +151,7 @@ def test_receive_stationarity_operator_identities(rng):
     ch1, ch0 = _instance(cfg, 8)
     g_c = ResidualSICovariance(scale=0.2, n_r=3)
     sol = alternate_optimize(ch1, ch0, g_c, cfg)
-    g1, g2, _ = relay_input_covariances(ch0, g_c, cfg)
-    r1, r2 = solve_receive_beamformers(ch1, ch0, sol.f, sol.alpha, g1, g2, cfg)
+    r1, r2 = solve_receive_beamformers(ch1, ch0, sol.f, sol.alpha, g_c, cfg)
     assert np.linalg.norm(sol.r1 - r1) <= 1e-10 * np.linalg.norm(r1)
     assert np.linalg.norm(sol.r2 - r2) <= 1e-10 * np.linalg.norm(r2)
 
@@ -209,7 +206,7 @@ def test_alternation_single_iteration_matches_manual_composition():
     eye = np.eye(2, dtype=complex)
     ops = build_slot_operators(ch1, ch0, g_c, eye, eye, cfg)
     relay = solve_relay_beamformer(ops, cfg)
-    r1, r2 = solve_receive_beamformers(ch1, ch0, relay.f, relay.alpha, ops.g1, ops.g2, cfg)
+    r1, r2 = solve_receive_beamformers(ch1, ch0, relay.f, relay.alpha, g_c, cfg)
     j = evaluate_sum_mse(ops, relay.f_bar, relay.alpha, r1, r2, cfg)
 
     assert np.max(np.abs(sol.f - relay.f)) <= 1e-12
@@ -254,6 +251,27 @@ def test_early_exit_on_convergence():
     assert sol.iterations_used < cfg.max_iterations
 
 
+def _herm(a):
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def _relay_input_covariances(cfg, h_1r, h_2r, g_c_scale):
+    """G_1, G_2, G_r from the previous slot's inbound channels (stacked or single)."""
+    base = (np.asarray(g_c_scale) + cfg.sigma_n_sq_r)[..., None, None] * np.eye(cfg.n_r)
+    hh1 = cfg.p1 * h_1r @ _herm(h_1r)
+    hh2 = cfg.p2 * h_2r @ _herm(h_2r)
+    return base + hh2, base + hh1, base + hh1 + hh2
+
+
+def _receive_operators(cfg, h_r1, h_r2, h_1r, h_2r, r1, r2):
+    """W_1, W_2, W_f0 and w_f of the relay system for receive matrices R_1, R_2 (stacked or single)."""
+    b1, b2 = _herm(r1) @ h_r1, _herm(r2) @ h_r2
+    w_f0 = cfg.p1 * _herm(h_r2) @ r2 @ _herm(h_1r) + cfg.p2 * _herm(h_r1) @ r1 @ _herm(h_2r)
+    nu_1, nu_2 = cfg.nu
+    w_f = nu_1 * np.sum(np.abs(r1) ** 2, axis=(-2, -1)) + nu_2 * np.sum(np.abs(r2) ** 2, axis=(-2, -1))
+    return _herm(b1) @ b1, _herm(b2) @ b2, w_f0, w_f
+
+
 def _plain_alternation_reference(cfg, slots, iterations):
     """Sum MSE after ``iterations`` plain relay-then-receive steps, batched over slots.
 
@@ -263,40 +281,35 @@ def _plain_alternation_reference(cfg, slots, iterations):
     """
     n_r, n_s = cfg.n_r, cfg.n_s
     budget = n_r * cfg.pr
-    zero = ResidualSICovariance.zero(n_r)
-    g1, g2, gr = (np.stack(m) for m in zip(*(relay_input_covariances(ch0, zero, cfg) for _, ch0 in slots)))
     h_r1, h_r2 = (np.stack([getattr(ch1, name) for ch1, _ in slots]) for name in ("h_r1", "h_r2"))
     h_1r, h_2r = (np.stack([getattr(ch0, name) for _, ch0 in slots]) for name in ("h_1r", "h_2r"))
-    nu_1 = n_s * cfg.p1 * cfg.sigma_e_sq_1 + cfg.sigma_n_sq_1
-    nu_2 = n_s * cfg.p2 * cfg.sigma_e_sq_2 + cfg.sigma_n_sq_2
-
-    def herm(a):
-        return np.conj(np.swapaxes(a, -1, -2))
+    g1, g2, gr = _relay_input_covariances(cfg, h_1r, h_2r, np.zeros(len(slots)))
+    nu_1, nu_2 = cfg.nu
 
     def kron(a, b):
         return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(len(a), n_r * n_r, n_r * n_r)
 
     eye_r = np.broadcast_to(np.eye(n_r), gr.shape)
+    eye_s = np.eye(n_s)
     r1 = r2 = np.broadcast_to(np.eye(n_s, dtype=complex), (len(slots), n_s, n_s))
     for _ in range(iterations):
-        b1, b2 = herm(r1) @ h_r1, herm(r2) @ h_r2
-        w_f0 = cfg.p1 * herm(h_r2) @ r2 @ herm(h_1r) + cfg.p2 * herm(h_r1) @ r1 @ herm(h_2r)
-        w_f = nu_1 * np.sum(np.abs(r1) ** 2, axis=(1, 2)) + nu_2 * np.sum(np.abs(r2) ** 2, axis=(1, 2))
-        k = kron(np.swapaxes(g1, 1, 2), herm(b1) @ b1) + kron(np.swapaxes(g2, 1, 2), herm(b2) @ b2) \
+        w1, w2, w_f0, w_f = _receive_operators(cfg, h_r1, h_r2, h_1r, h_2r, r1, r2)
+        k = kron(np.swapaxes(g1, 1, 2), w1) + kron(np.swapaxes(g2, 1, 2), w2) \
             + (w_f / budget)[:, None, None] * kron(np.swapaxes(gr, 1, 2), eye_r)
         x = np.linalg.solve(k, np.swapaxes(w_f0, 1, 2).reshape(len(slots), -1, 1))
         f_bar = np.swapaxes(x.reshape(len(slots), n_r, n_r), 1, 2)
         f_bar = f_bar / np.linalg.norm(f_bar, axis=(1, 2), keepdims=True)
         alpha = np.sqrt(budget / np.real(np.einsum("rij,rjk,rik->r", f_bar, gr, np.conj(f_bar))))
         c1, c2 = h_r1 @ (alpha[:, None, None] * f_bar), h_r2 @ (alpha[:, None, None] * f_bar)
-        eye_s = np.eye(n_s)
-        r1 = (cfg.p2 * alpha)[:, None, None] * np.linalg.solve(c1 @ g1 @ herm(c1) + nu_1 * eye_s, c1 @ h_2r)
-        r2 = (cfg.p1 * alpha)[:, None, None] * np.linalg.solve(c2 @ g2 @ herm(c2) + nu_2 * eye_s, c2 @ h_1r)
-    return np.array([
-        evaluate_sum_mse(build_slot_operators(ch1, ch0, zero, r1[s], r2[s], cfg), f_bar[s], alpha[s],
-                         r1[s], r2[s], cfg)
-        for s, (ch1, ch0) in enumerate(slots)
-    ])
+        r1 = (cfg.p2 * alpha)[:, None, None] * np.linalg.solve(c1 @ g1 @ _herm(c1) + nu_1 * eye_s, c1 @ h_2r)
+        r2 = (cfg.p1 * alpha)[:, None, None] * np.linalg.solve(c2 @ g2 @ _herm(c2) + nu_2 * eye_s, c2 @ h_1r)
+    # J = n_s (p1 + p2) - 2 Re tr(W_f0^H F) / alpha + (sum_l tr(E_l G_l E_l^H) + w_f) / alpha^2, E_l = R_l^H H_rl F
+    _, _, w_f0, w_f = _receive_operators(cfg, h_r1, h_r2, h_1r, h_2r, r1, r2)
+    f = alpha[:, None, None] * f_bar
+    e1, e2 = _herm(r1) @ h_r1 @ f, _herm(r2) @ h_r2 @ f
+    quad = sum(np.real(np.einsum("rij,rjk,rik->r", e, g, np.conj(e))) for e, g in ((e1, g1), (e2, g2)))
+    cross = 2.0 * np.real(np.einsum("rij,rij->r", np.conj(w_f0), f))
+    return n_s * (cfg.p1 + cfg.p2) - cross / alpha + (quad + w_f) / alpha**2
 
 
 def test_default_design_reaches_the_alternation_limit():
@@ -336,11 +349,11 @@ def _stacked_problem(cfg, seed, size, g_c_scale):
 
 
 def _kronecker_relay_system(cfg, ch1, ch0, g_c_scale, r):
-    """Dense n_r^2 x n_r^2 relay system and W_f0 of one realization, from the per-realization operators."""
-    ops = build_slot_operators(ch1, ch0, ResidualSICovariance(scale=g_c_scale, n_r=cfg.n_r), r[0], r[1], cfg)
-    k = kron(ops.g1.T, ops.w_f1) + kron(ops.g2.T, ops.w_f2) \
-        + kron(ops.gr.T, ops.w_f_scalar / (cfg.n_r * cfg.pr) * np.eye(cfg.n_r))
-    return k, ops.w_f0
+    """Dense n_r^2 x n_r^2 relay system and W_f0 of one realization, built from its channels."""
+    g1, g2, gr = _relay_input_covariances(cfg, ch0.h_1r, ch0.h_2r, g_c_scale)
+    w1, w2, w_f0, w_f = _receive_operators(cfg, ch1.h_r1, ch1.h_r2, ch0.h_1r, ch0.h_2r, r[0], r[1])
+    k = kron(g1.T, w1) + kron(g2.T, w2) + kron(gr.T, w_f / (cfg.n_r * cfg.pr) * np.eye(cfg.n_r))
+    return k, w_f0
 
 
 @pytest.mark.parametrize("n_s", [1, 2, 3])

@@ -37,6 +37,16 @@ def test_trajectory_requires_single_point(tmp_path):
             "trajectory", "--snr-db", "0,5", "--inr-db", "0",
             "--out", str(tmp_path / "t.csv"),
         ])
+    # a grid from the config file is refused too, before anything runs
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"snr_db": [0, 5]}))
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit):
+        main([
+            "trajectory", "--config", str(config), "--slots", "1", "--realizations", "2",
+            "--out", str(out),
+        ])
+    assert not out.exists()
 
 
 def test_trajectory_emits_per_slot_series(tmp_path):

@@ -30,6 +30,9 @@ def test_spec_validation():
         SweepSpec(snr_db=(0.0,), inr_db=(0.0,), realizations=0)
     with pytest.raises(ValueError):
         SweepSpec(snr_db=(0.0,), inr_db=(0.0,), schemes=("nope",))
+    for memory in (0, -3, 2.5, "never"):
+        with pytest.raises(ValueError):
+            SweepSpec(snr_db=(0.0,), inr_db=(0.0,), memory=memory)
 
 
 def test_memory_string_roundtrip():

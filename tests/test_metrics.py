@@ -53,6 +53,37 @@ def test_first_slot_interference_covariance_reduces_to_direct_terms():
     assert metrics.sum_rate == pytest.approx(total, rel=1e-12)
 
 
+def test_second_slot_rate_carries_one_realized_relay_error_chain():
+    # slot 2: the relay input adds slot 0's content forwarded by F_1 through the realized
+    # slot-1 relay error, C = sigma_nr I + D_1 F_1 Q_0 F_1^H D_1^H
+    cfg = config_from_snr_inr(5.0, 8.0, n_s=2, n_r=3)
+    traj = run_trajectory(cfg, "proposed", slots=2, seed=8, realization=0)
+    ch0, ch1, ch2 = traj.channels
+    sol1, sol = traj.solutions
+    metrics = achievable_sum_rate([ch0, ch1, ch2], [sol1.f, sol.f], sol, cfg)
+
+    q0 = cfg.p1 * ch0.h_1r @ ch0.h_1r.conj().T + cfg.p2 * ch0.h_2r @ ch0.h_2r.conj().T + cfg.sigma_n_sq_r * np.eye(3)
+    leak = ch1.delta_rr @ sol1.f
+    core = cfg.sigma_n_sq_r * np.eye(3) + leak @ q0 @ leak.conj().T
+    rates = []
+    for h_rl, h_other, delta, p_own, p_other, sigma_n_sq, r_l in (
+        (ch2.h_r1, ch1.h_2r, ch2.delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, sol.r1),
+        (ch2.h_r2, ch1.h_1r, ch2.delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, sol.r2),
+    ):
+        b = h_rl @ sol.f_bar
+        a = b @ core @ b.conj().T + sol.alpha**-2 * (p_own * delta @ delta.conj().T + sigma_n_sq * np.eye(2))
+        noise = r_l.conj().T @ a @ r_l
+        d = r_l.conj().T @ b @ h_other
+        _, logdet_total = np.linalg.slogdet(noise + p_other * d @ d.conj().T)
+        _, logdet_noise = np.linalg.slogdet(noise)
+        rates.append((logdet_total - logdet_noise) / math.log(2.0))
+    # the explicit noise covariance of source 1 has condition ~6e4, which costs its
+    # log-det about 1e-11 relative against the whitened factor form
+    assert metrics.rate_1 == pytest.approx(rates[0], rel=1e-9)
+    assert metrics.rate_2 == pytest.approx(rates[1], rel=1e-9)
+    assert traj.metrics[1].sum_rate == pytest.approx(sum(rates), rel=1e-9)
+
+
 def test_scalar_rate_reduces_to_log_sinr():
     cfg = config_from_snr_inr(8.0, float("-inf"), n_s=1, n_r=1)
     ch0, ch1 = _two_slots(cfg, 2)

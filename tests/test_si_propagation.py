@@ -63,6 +63,29 @@ def test_second_slot_matches_manual_trace(small_cfg, rng):
     assert g.scale == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("memory", [1, 2, INF])
+def test_fourth_slot_matches_hand_written_chain_sums(small_cfg, rng, memory):
+    # c_s: content forwarded by F_s, n_s = tr(F_s F_s^H), sigma: relay loopback-error variance
+    history = _filled_history(small_cfg, rng, 3)
+    cfg, sigma = small_cfg, small_cfg.sigma_e_sq_r
+    c, n = {}, {}
+    for s in (1, 2, 3):
+        e = history.entry(s)
+        q = cfg.p1 * e.h_1r @ e.h_1r.conj().T + cfg.p2 * e.h_2r @ e.h_2r.conj().T + cfg.sigma_n_sq_r * np.eye(2)
+        c[s] = np.trace(e.f @ q @ e.f.conj().T).real
+        n[s] = np.trace(e.f @ e.f.conj().T).real
+    expected = {
+        # depth 1 from slot 3; depth 2 through F_3 from slot 2; depth 3 through F_3, F_2 from slot 1
+        INF: sigma * c[3] + sigma**2 * n[3] * c[2] + sigma**3 * n[3] * n[2] * c[1],
+        # depth 3 is beyond the window: the oldest kept slot 2 repeats in place of slot 1
+        2: sigma * c[3] + sigma**2 * n[3] * c[2] + sigma**3 * n[3] * n[2] * c[2],
+        # depths 2 and 3 are beyond the window: F_3 and slot 3's content repeat
+        1: sigma * c[3] + sigma**2 * n[3] * c[3] + sigma**3 * n[3] ** 2 * c[3],
+    }[memory]
+    g = residual_si_covariance(history, cfg, t=4, memory=memory)
+    assert g.scale == pytest.approx(expected, rel=1e-12)
+
+
 def test_zero_error_variance_means_zero_covariance(rng):
     cfg = config_from_snr_inr(5.0, -math.inf, n_s=1, n_r=2)
     history = _filled_history(cfg, rng, 6)

@@ -6,7 +6,6 @@ import pytest
 from fdrelay.beamforming import (
     build_slot_operators,
     evaluate_sum_mse,
-    relay_input_covariances,
     solve_receive_beamformers,
 )
 from fdrelay.channel import config_from_snr_inr
@@ -125,7 +124,8 @@ def test_batched_engine_respects_convergence_tolerance():
 @pytest.mark.parametrize("scheme", ["proposed", "conventional", "relay_only"])
 @pytest.mark.parametrize("memory", [math.inf, 2])
 def test_trajectory_matches_per_realization_formulas(scheme, memory):
-    # every slot of the engine's loop, rebuilt from the per-realization reference formulas
+    # every slot of the engine's loop, rebuilt through the per-realization entry points: the
+    # history's SI scale, the realized-chain rate and the conventional recalibration
     cfg = config_from_snr_inr(3.0, 4.0, n_s=2, n_r=3).with_memory(memory)
     traj = run_trajectory(cfg, scheme, slots=5, seed=13, realization=1)
     channels, solutions = traj.channels, traj.solutions
@@ -148,16 +148,15 @@ def test_trajectory_matches_per_realization_formulas(scheme, memory):
             assert close(value, reference)
 
         if scheme == "conventional":
-            g1_model, g2_model, gr_model = relay_input_covariances(ch_prev, zero, cfg)
-            gr_true = relay_input_covariances(ch_prev, g_true, cfg)[2]
-            power = np.real(np.trace(sol.f @ gr_true @ sol.f.conj().T))
+            power = np.real(np.trace(sol.f @ ops_true.gr @ sol.f.conj().T))
             assert close(power, budget)
-            r1, r2 = solve_receive_beamformers(ch_t, ch_prev, sol.f, sol.alpha, g1_model, g2_model, cfg)
+            r1, r2 = solve_receive_beamformers(ch_t, ch_prev, sol.f, sol.alpha, zero, cfg)
             assert np.linalg.norm(sol.r1 - r1) <= 1e-10 * np.linalg.norm(r1)
             assert np.linalg.norm(sol.r2 - r2) <= 1e-10 * np.linalg.norm(r2)
             # j_value is the design's own objective: zero residual SI, power met on that model
+            gr_model = build_slot_operators(ch_t, ch_prev, zero, sol.r1, sol.r2, cfg).gr
             alpha = np.sqrt(budget / np.real(np.trace(sol.f_bar @ gr_model @ sol.f_bar.conj().T)))
-            r1, r2 = solve_receive_beamformers(ch_t, ch_prev, alpha * sol.f_bar, alpha, g1_model, g2_model, cfg)
+            r1, r2 = solve_receive_beamformers(ch_t, ch_prev, alpha * sol.f_bar, alpha, zero, cfg)
             g_design = zero
         else:
             alpha, r1, r2 = sol.alpha, sol.r1, sol.r2
