@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import SystemConfig, TimeSlotChannels
-from .matrix_core import fro_sq, frobenius_sq, herm, kron, mat, solve_linear, trace_quad, vec
+from .matrix_core import fro_sq, herm, kron, mat, solve_linear, trace_quad, vec
 from .si_propagation import ResidualSICovariance
 
 __all__ = [
@@ -214,6 +214,11 @@ def _receive_coords(z: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(z).reshape(z.shape[:-3] + (-1,)).view(np.float64)
 
 
+def _w_f(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Noise and source-loopback power sum_l nu_l ||R_l||_F^2 of receive pairs (..., 2, n_s, n_s)."""
+    return (nu[:, None, None] * (r * r.conj()).real).sum(axis=(-3, -2, -1))
+
+
 def _receive_basis(n_s: int) -> np.ndarray:
     """The unit receive-matrix pairs behind :func:`_receive_coords`, (4 n_s^2, 2, n_s, n_s)."""
     eye = np.eye(2 * n_s * n_s).reshape(-1, 2, n_s, n_s)
@@ -239,12 +244,11 @@ class BatchDesign:
         """Realization ``index`` as a :class:`BeamformingSolution`."""
         f_bar, alpha, r = self.f_bar[index], float(self.alpha[index]), self.r[index]
         used = int(self.iterations_used[index])
-        w_f_scalar = sum(nu * frobenius_sq(r_l) for nu, r_l in zip(cfg.nu, r))
         return BeamformingSolution(
             f_bar=f_bar,
             alpha=alpha,
             f=alpha * f_bar,
-            lam=w_f_scalar / (alpha**2 * (cfg.n_r * cfg.pr)),
+            lam=float(_w_f(np.array(cfg.nu), r)) / (alpha**2 * (cfg.n_r * cfg.pr)),
             r1=r[0],
             r2=r[1],
             j_value=float(self.j[index]),
@@ -370,10 +374,6 @@ class SlotProblem:
         """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl."""
         return (herm(b) @ self.p_bar_h_bar_h).sum(axis=1)
 
-    def _w_f(self, r: np.ndarray) -> np.ndarray:
-        """Noise and source-loopback power picked up by the receive matrices."""
-        return (self.nu[:, None, None] * (r * r.conj()).real).sum(axis=(1, 2, 3))
-
 
 class RelaySystem:
     """Relay stationarity operator of a slot problem for fixed receive matrices, and its inverse.
@@ -406,7 +406,7 @@ class RelaySystem:
         self.b = herm(r) @ problem.h                  # B_l, (R, 2, n_s, n_r)
         self.w = herm(self.b) @ self.b                # W_l
         self.w0 = problem._w_f0(self.b)
-        self.c = problem._w_f(r) / problem.budget
+        self.c = _w_f(problem.nu, r) / problem.budget
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """K(X) - W_f0 for a stack of n_r x n_r matrices.

@@ -7,6 +7,11 @@ Subcommands: ``sweep`` (grid Monte Carlo with CSV/JSON emission),
 Grids accept comma lists ("-10,0,10") or inclusive ranges ("start:stop:step").
 Values from a ``--config`` JSON file override command-line flags; the default
 seed can be set through the FDRELAY_SEED environment variable.
+
+Exit codes: 0 when every grid point (or oracle check) succeeds, 1 when one
+fails (the others are still run and written), 2 for a usage error such as an
+unknown flag or an invalid sweep value, which stops before anything runs and
+prints one error line on stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import argparse
 import json
 import os
 import sys
+from typing import NoReturn
 
-from .channel import config_from_snr_inr
 from .harness import SweepSpec, emit_results, memory_from_str, run_sweep
 from .memory_select import select_memory
 from .validation import run_oracle_suite
@@ -73,41 +78,50 @@ def _add_output_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
 
+def _usage_error(args, message: str) -> NoReturn:
+    """Stop with exit code 2 and one error line on stderr."""
+    print(f"fdrelay {args.command}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _spec_from_args(args) -> SweepSpec:
-    scheme = getattr(args, "scheme", "proposed")
-    values = {
-        "snr_db": args.snr_db,
-        "inr_db": args.inr_db,
-        "schemes": tuple(s.strip() for s in scheme.split(",") if s.strip()),
-        "n_s": args.ns,
-        "n_r": args.nr,
-        "slots": args.slots,
-        "memory": args.memory,
-        "realizations": args.realizations,
-        "iterations": args.iterations,
-        "convergence_tol": args.tol,
-        "seed": _default_seed() if args.seed is None else args.seed,
-    }
-    if args.config:
-        with open(args.config) as handle:
-            overrides = json.load(handle)
-        for key, value in overrides.items():
-            if key not in values:
-                raise SystemExit(f"unknown config key {key!r}")
-            if key in ("snr_db", "inr_db"):
-                value = tuple(float(v) for v in value)
-            elif key == "schemes":
-                value = tuple(value)
-            elif key == "memory":
-                value = memory_from_str(str(value))
-            values[key] = value
-    return SweepSpec(**values)
+    try:
+        scheme = getattr(args, "scheme", "proposed")
+        values = {
+            "snr_db": args.snr_db,
+            "inr_db": args.inr_db,
+            "schemes": tuple(s.strip() for s in scheme.split(",") if s.strip()),
+            "n_s": args.ns,
+            "n_r": args.nr,
+            "slots": args.slots,
+            "memory": args.memory,
+            "realizations": args.realizations,
+            "iterations": args.iterations,
+            "convergence_tol": args.tol,
+            "seed": _default_seed() if args.seed is None else args.seed,
+        }
+        if args.config:
+            with open(args.config) as handle:
+                overrides = json.load(handle)
+            for key, value in overrides.items():
+                if key not in values:
+                    raise ValueError(f"unknown config key {key!r}")
+                if key in ("snr_db", "inr_db"):
+                    value = tuple(float(v) for v in value)
+                elif key == "schemes":
+                    value = tuple(value)
+                elif key == "memory":
+                    value = memory_from_str(str(value))
+                values[key] = value
+        return SweepSpec(**values)
+    except (TypeError, ValueError) as exc:
+        _usage_error(args, str(exc))
 
 
 def _single_point_spec(args) -> SweepSpec:
     spec = _spec_from_args(args)
     if len(spec.snr_db) != 1 or len(spec.inr_db) != 1:
-        raise SystemExit(f"{args.command} takes a single SNR and a single INR value")
+        _usage_error(args, "takes a single SNR and a single INR value")
     return spec
 
 
@@ -134,10 +148,7 @@ def _run_trajectory_command(args) -> int:
 
 def _run_select_memory_command(args) -> int:
     spec = _single_point_spec(args)
-    cfg = config_from_snr_inr(
-        spec.snr_db[0], spec.inr_db[0], n_s=spec.n_s, n_r=spec.n_r,
-        max_iterations=spec.iterations, convergence_tol=spec.convergence_tol,
-    )
+    cfg = spec.config(spec.snr_db[0], spec.inr_db[0])
     selection = select_memory(cfg, seed=spec.seed, realizations=spec.realizations)
     for probe in selection.probes:
         print(

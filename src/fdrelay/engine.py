@@ -8,8 +8,9 @@ covariance is built from every earlier beamformer, the slot is designed with
 batched over a stack of realizations, which removes the Python-call overhead
 that dominates at these matrix sizes.  :func:`run_trajectories_batch` runs
 realizations 0..R-1 of a grid point and :func:`fdrelay.simulate.run_trajectory`
-one realization with its designs; both go through the same loop.  The loop
-is resumable: the memory search advances one infinite-memory trajectory and
+one realization with its designs; both run the same loop, a
+:class:`_TrajectoryState`, and read its per-slot outputs.  The loop is
+resumable: the memory search advances one infinite-memory trajectory and
 forks it for each candidate memory (see :mod:`fdrelay.memory_select`).
 
 Each formula of a slot exists once, batched over realizations: the design,
@@ -75,26 +76,6 @@ class BatchTrajectoryStats:
 
     sum_mse: np.ndarray
     sum_rate: np.ndarray
-
-
-@dataclass(frozen=True)
-class _Trajectories:
-    """Everything the slot loop produces for a stack of realizations.
-
-    Row k of ``sum_mse`` and ``rates`` (the latter (slots, R, 2): the rates of
-    the streams decoded at source 1 and source 2) and ``designs[k]`` belong
-    to slot k+1; a design carries the applied amplification and receive
-    matrices (the calibrated ones for the conventional scheme).
-    ``channels[s]`` holds the stacked draws of slot s = 0..slots.
-    """
-
-    sum_mse: np.ndarray
-    rates: np.ndarray
-    designs: tuple[BatchDesign, ...]
-    channels: list[TimeSlotChannels]
-
-    def stats(self) -> BatchTrajectoryStats:
-        return BatchTrajectoryStats(sum_mse=self.sum_mse, sum_rate=self.rates[..., 0] + self.rates[..., 1])
 
 
 def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: Sequence[int]) -> TimeSlotChannels:
@@ -185,10 +166,14 @@ class _TrajectoryState:
     channel draws (at least of slots 0..``slot``), per past slot the beamformer's
     squared norm tr(F_s F_s^H) and content trace tr(F_s M_{s-1} F_s^H), the
     Gram factor of the previous slot's relay transmission, and the per-slot
-    outputs.  The per-slot histories are tuples that each slot replaces by a
-    longer one and stored arrays are never modified in place, so a shallow
-    copy is a :meth:`fork` that can be advanced with another memory setting
-    without touching its parent.  Only the channel list is mutable and shared
+    outputs: entry k of ``sum_mse``, ``rates`` (R, 2: the rates of the
+    streams decoded at source 1 and source 2) and ``designs`` belongs to
+    slot k+1, and a design carries the applied amplification and receive
+    matrices (the calibrated ones for the conventional scheme).  The
+    per-slot histories are tuples that each slot replaces by a longer one
+    and stored arrays are never modified in place, so a shallow copy is a
+    :meth:`fork` that can be advanced with another memory setting without
+    touching its parent.  Only the channel list is mutable and shared
     on purpose: a draw depends only on (seed, realization, slot), so whichever
     fork reaches a slot first draws it for all.
     """
@@ -285,22 +270,13 @@ class _TrajectoryState:
         self.f_norm_sq += (fro_sq(f),)
         self.content_trace += (content_trace(cfg, f, ch_prev.h_1r, ch_prev.h_2r),)
 
-    def result(self, slots: int) -> _Trajectories:
-        """Slots 1..``slots`` (at most :attr:`slot`) as :class:`_Trajectories`."""
-        return _Trajectories(
-            np.stack(self.sum_mse[:slots]),
-            np.stack(self.rates[:slots]),
-            self.designs[:slots],
-            self.channels[: slots + 1],
-        )
-
 
 def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
-                      realizations: Sequence[int]) -> _Trajectories:
+                      realizations: Sequence[int]) -> _TrajectoryState:
     """The slot loop for the realizations with the given indices, batched."""
     if slots < 1:
         raise ValueError("need at least one full-duplex slot")
-    return _TrajectoryState(cfg, seed, realizations).advance(cfg, scheme, slots).result(slots)
+    return _TrajectoryState(cfg, seed, realizations).advance(cfg, scheme, slots)
 
 
 def run_trajectories_batch(
@@ -316,4 +292,6 @@ def run_trajectories_batch(
     channel draws are keyed by (seed, realization, slot) and every design
     and metric is computed per realization.
     """
-    return _run_trajectories(cfg, scheme, slots, seed, range(realizations)).stats()
+    state = _run_trajectories(cfg, scheme, slots, seed, range(realizations))
+    rates = np.stack(state.rates)
+    return BatchTrajectoryStats(sum_mse=np.stack(state.sum_mse), sum_rate=rates[..., 0] + rates[..., 1])

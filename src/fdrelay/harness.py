@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .channel import MEMORY_AUTO, MEMORY_INFINITE, check_memory, config_from_snr_inr
+from .channel import MEMORY_AUTO, MEMORY_INFINITE, SystemConfig, config_from_snr_inr
 from .engine import SCHEMES, run_trajectories_batch
 from .memory_select import select_memory
 
@@ -68,10 +68,20 @@ class SweepSpec:
             raise ValueError("SNR and INR grids must be non-empty")
         if self.realizations < 1 or self.slots < 1:
             raise ValueError("realizations and slots must be >= 1")
-        check_memory(self.memory, allow_auto=True)
+        self.config(self.snr_db[0], self.inr_db[0])
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; valid: {SCHEMES}")
+
+    def config(self, snr_db: float, inr_db: float) -> SystemConfig:
+        """System configuration of grid point (``snr_db``, ``inr_db``); memory 'auto' runs as infinite."""
+        return config_from_snr_inr(
+            snr_db, inr_db,
+            n_s=self.n_s, n_r=self.n_r,
+            memory=MEMORY_INFINITE if self.memory == MEMORY_AUTO else self.memory,
+            max_iterations=self.iterations,
+            convergence_tol=self.convergence_tol,
+        )
 
     def config_hash(self) -> str:
         payload = asdict(self)
@@ -133,13 +143,7 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
 
 def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -> list[SweepRecord]:
     """All per-slot records of one (grid point, scheme) cell."""
-    cfg = config_from_snr_inr(
-        snr_db, inr_db,
-        n_s=spec.n_s, n_r=spec.n_r,
-        memory=spec.memory if spec.memory != MEMORY_AUTO else MEMORY_INFINITE,
-        max_iterations=spec.iterations,
-        convergence_tol=spec.convergence_tol,
-    )
+    cfg = spec.config(snr_db, inr_db)
     m_hat = ""
     if spec.memory == MEMORY_AUTO and scheme in _MEMORY_SCHEMES:
         selection = select_memory(cfg, seed=spec.seed, realizations=spec.realizations)

@@ -19,7 +19,6 @@ __all__ = [
     "kron",
     "solve_linear",
     "chained_error_trace_mean",
-    "frobenius_sq",
     "herm",
     "trace_quad",
     "fro_sq",
@@ -79,12 +78,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ra, ca = a.shape
     rb, cb = b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
-
-
-def frobenius_sq(a: np.ndarray) -> float:
-    """Squared Frobenius norm, returned as a real float."""
-    a = np.asarray(a)
-    return float(np.real(np.vdot(a, a)))
 
 
 def herm(a: np.ndarray) -> np.ndarray:
@@ -165,7 +158,4 @@ def chained_error_trace_mean(v_list, sigma_sq: float) -> float:
     for m in mats:
         if m.shape != (n, n):
             raise ValueError(f"all chain matrices must be {n}x{n}, got {m.shape}")
-    value = float(sigma_sq) ** (len(mats) - 1)
-    for m in mats:
-        value *= frobenius_sq(m)
-    return value
+    return float(sigma_sq) ** (len(mats) - 1) * float(np.prod(fro_sq(np.stack(mats))))

@@ -1,4 +1,4 @@
-"""Cross-slot history and the residual loopback-SI covariance at the relay.
+"""The residual loopback-SI covariance at the relay.
 
 In slot t the relay's post-cancellation input carries, besides the fresh
 signals, every past slot's content re-amplified through chains of
@@ -22,94 +22,29 @@ scalar with a matrix view for generic code paths.
 
 :func:`residual_si_scale` is the one implementation of the scale, batched over
 realizations: the engine's slot loop calls it with the traces it carries, and
-:func:`residual_si_covariance` with those of a :class:`RelayHistory` (which
-keeps every pushed slot) as a stack of one.  Independent checks are the
-sampling oracle :func:`fdrelay.validation.simulate_signal_chain` and the
-hand-written chain sums in the tests.
+:func:`residual_si_covariance` with those of one trajectory, given as its
+channel draws and applied beamformers, as a stack of one.  Independent checks
+are the sampling oracle :func:`fdrelay.validation.simulate_signal_chain` and
+the hand-written chain sums in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .channel import MEMORY_INFINITE, SystemConfig, check_memory
-from .matrix_core import fro_sq, frobenius_sq
+from .channel import MEMORY_INFINITE, SystemConfig, TimeSlotChannels, check_memory
+from .matrix_core import fro_sq
 
 __all__ = [
-    "MissingHistoryError",
-    "HistoryEntry",
-    "RelayHistory",
     "ResidualSICovariance",
     "si_term_gates",
     "content_trace",
     "residual_si_scale",
     "residual_si_covariance",
 ]
-
-
-class MissingHistoryError(LookupError):
-    """A required past slot is not present in the relay history."""
-
-    def __init__(self, slot: int):
-        self.slot = slot
-        super().__init__(f"history entry for slot {slot} is absent")
-
-
-@dataclass(frozen=True)
-class HistoryEntry:
-    """Beamformer applied in ``slot`` and the inbound channels it amplified.
-
-    The stored channels belong to slot ``slot - 1``: every covariance term
-    pairs F applied in slot s with the channels whose content it forwarded.
-    """
-
-    slot: int
-    f: np.ndarray
-    h_1r: np.ndarray
-    h_2r: np.ndarray
-    f_norm_sq: float
-
-
-class RelayHistory:
-    """Ordered, contiguous record of finalized relay beamformers.
-
-    The first pushed slot may be any slot; later pushes must follow it
-    without gaps.  Entries are only appended once the slot's beamformer is
-    final, so the covariance seen inside one slot's optimization is frozen.
-    """
-
-    def __init__(self, n_r: int):
-        self.n_r = int(n_r)
-        self._entries: dict[int, HistoryEntry] = {}
-
-    @property
-    def next_slot(self) -> int:
-        if not self._entries:
-            return 1
-        return next(reversed(self._entries)) + 1
-
-    def entry(self, slot: int) -> HistoryEntry:
-        try:
-            return self._entries[slot]
-        except KeyError:
-            raise MissingHistoryError(slot) from None
-
-    def push(self, slot: int, f: np.ndarray, h_1r_prev: np.ndarray, h_2r_prev: np.ndarray) -> "RelayHistory":
-        f = np.asarray(f, dtype=complex)
-        if f.shape != (self.n_r, self.n_r):
-            raise ValueError(f"beamformer shape {f.shape} != ({self.n_r}, {self.n_r})")
-        h_1r_prev = np.asarray(h_1r_prev, dtype=complex)
-        h_2r_prev = np.asarray(h_2r_prev, dtype=complex)
-        if h_1r_prev.shape[0] != self.n_r or h_2r_prev.shape[0] != self.n_r:
-            raise ValueError("inbound channels must have n_r rows")
-        if self._entries and slot != self.next_slot:
-            raise ValueError(f"slots must be contiguous: expected {self.next_slot}, got {slot}")
-        self._entries[slot] = HistoryEntry(
-            slot=slot, f=f, h_1r=h_1r_prev, h_2r=h_2r_prev, f_norm_sq=frobenius_sq(f)
-        )
-        return self
 
 
 @dataclass(frozen=True)
@@ -178,29 +113,28 @@ def residual_si_scale(cfg: SystemConfig, memory: int | float, t: int, f_norm_sq,
     return scale
 
 
-class _SlotSeries(dict):
-    """Per-slot values keyed s - 1 for slot s, as :func:`residual_si_scale` reads them."""
-
-    def __missing__(self, index: int):
-        raise MissingHistoryError(index + 1)
-
-
 def residual_si_covariance(
-    history: RelayHistory,
+    channels: Sequence[TimeSlotChannels],
+    beamformers: Sequence[np.ndarray],
     cfg: SystemConfig,
-    t: int | None = None,
     memory: int | float | None = None,
 ) -> ResidualSICovariance:
-    """Residual-SI covariance G_c for the slot being designed.
+    """Residual-SI covariance G_c of slot t = ``len(beamformers)`` + 1 of one trajectory.
 
-    ``t`` defaults to the slot after the last pushed entry; ``memory``
-    defaults to the configured value.  Raises :class:`MissingHistoryError`
-    when a gated term needs a slot the history does not hold, such as one
-    before its first entry.
+    ``beamformers[s-1]`` is the beamformer applied in slot s and ``channels[s]``
+    holds the draws of slot s, as in :func:`fdrelay.metrics.achievable_sum_rate`;
+    channels of slots 0..t-2 are read.  ``memory`` defaults to the configured
+    value.
     """
-    t = history.next_slot if t is None else t
-    entries = history._entries.items()
-    norms = _SlotSeries({s - 1: np.array([e.f_norm_sq]) for s, e in entries})
-    contents = _SlotSeries({s - 1: content_trace(cfg, e.f[None], e.h_1r[None], e.h_2r[None]) for s, e in entries})
+    t = len(beamformers) + 1
+    if len(channels) < t - 1:
+        raise ValueError(f"slot {t} needs channels for slots 0..{t - 2}, got {len(channels)}")
+    if any(np.shape(f) != (cfg.n_r, cfg.n_r) for f in beamformers):
+        raise ValueError(f"beamformers must be {cfg.n_r}x{cfg.n_r}")
+    f = np.asarray(beamformers, dtype=complex).reshape(-1, cfg.n_r, cfg.n_r)
+    inbound = channels[: t - 1]
+    h_1r = np.asarray([ch.h_1r for ch in inbound]).reshape(-1, cfg.n_r, cfg.n_s)
+    h_2r = np.asarray([ch.h_2r for ch in inbound]).reshape(-1, cfg.n_r, cfg.n_s)
+    norms, contents = fro_sq(f)[:, None], content_trace(cfg, f, h_1r, h_2r)[:, None]
     scale = residual_si_scale(cfg, cfg.memory if memory is None else memory, t, norms, contents, 1)
     return ResidualSICovariance(scale=float(scale[0]), n_r=cfg.n_r)

@@ -47,12 +47,12 @@ def run_trajectory(
     scheme or memory setting, so different schemes at the same seed see
     identical channels (paired comparisons).
     """
-    out = _run_trajectories(cfg, scheme, slots, seed, [realization])
-    metrics = tuple(SlotMetrics.from_rates(t, scheme, out.sum_mse[t - 1, 0], rates)
-                    for t, rates in enumerate(out.rates[:, 0], start=1))
-    solutions = () if scheme == "half_duplex" else tuple(d.solution(0, cfg) for d in out.designs)
+    state = _run_trajectories(cfg, scheme, slots, seed, [realization])
+    metrics = tuple(SlotMetrics.from_rates(t, scheme, sum_mse[0], rates[0])
+                    for t, (sum_mse, rates) in enumerate(zip(state.sum_mse, state.rates), start=1))
+    solutions = () if scheme == "half_duplex" else tuple(d.solution(0, cfg) for d in state.designs)
     return TrajectoryResult(
         metrics=metrics,
         solutions=solutions,
-        channels=tuple(ch.realization(0) for ch in out.channels),
+        channels=tuple(ch.realization(0) for ch in state.channels),
     )

@@ -23,7 +23,7 @@ from .beamforming import BeamformingSolution, SlotOperators, alternate_optimize,
 from .channel import (MEMORY_INFINITE, SystemConfig, check_memory, config_from_snr_inr, crandn,
                       draw_slot_channels, slot_rng)
 from .matrix_core import chained_error_trace_mean
-from .si_propagation import RelayHistory, ResidualSICovariance, residual_si_covariance
+from .si_propagation import ResidualSICovariance, residual_si_covariance
 from .simulate import run_trajectory
 
 __all__ = [
@@ -327,10 +327,7 @@ def run_oracle_suite(seed: int = 0, draws: int = 20000) -> list[OracleCheck]:
         cfg.n_r * cfg.pr,
         0.02,
     )
-    history = RelayHistory(cfg.n_r)
-    for s, sol in enumerate(traj.solutions, start=1):
-        history.push(s, sol.f, traj.channels[s - 1].h_1r, traj.channels[s - 1].h_2r)
-    g_c = residual_si_covariance(history, cfg, t=4)
+    g_c = residual_si_covariance(traj.channels, [sol.f for sol in traj.solutions], cfg)
     ensemble4 = simulate_signal_chain(
         traj.channels[:4] + (traj.channels[3],), traj.solutions + (traj.solutions[-1],),
         cfg, rng, draws,

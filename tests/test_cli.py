@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +121,45 @@ def test_memory_flag_accepts_inf_and_auto(tmp_path):
     assert code == 0
     records = read_records_csv(str(out))
     assert records[0].m_hat == "1"
+
+
+_BAD_VALUES = (["--memory", "0"], ["--scheme", "nope"], ["--realizations", "0"], ["--snr-db", ""],
+               ["--iterations", "0"], ["--nr", "0"])
+
+
+@pytest.mark.parametrize("command, bad", [
+    (command, bad) for command in ("sweep", "trajectory", "select-memory") for bad in _BAD_VALUES
+    if command != "select-memory" or bad[0] != "--scheme"  # select-memory takes no --scheme
+])
+def test_bad_spec_value_is_a_usage_error(tmp_path, capsys, command, bad):
+    out = tmp_path / "r.csv"
+    argv = [command, "--snr-db", "0", "--inr-db", "0", *bad]
+    if command != "select-memory":
+        argv += ["--out", str(out)]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"fdrelay {command}: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_exit_codes_through_the_module(tmp_path):
+    # 0 when every cell succeeds, 1 when a cell fails (a noise-free SNR leaves the
+    # rate's interference covariance singular), 2 for a usage error
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "r.csv"
+
+    def run(*args):
+        base = [sys.executable, "-m", "fdrelay.cli", "sweep", "--inr-db=-inf", "--ns", "1", "--nr", "2",
+                "--slots", "1", "--realizations", "2", "--iterations", "3", "--out", str(out)]
+        return subprocess.run(base + list(args), env=env, capture_output=True, text=True).returncode
+
+    assert run("--snr-db", "0") == 0
+    assert run("--snr-db", "0,inf") == 1
+    assert len(read_records_csv(str(out))) == 1
+    out.unlink()
+    assert run("--snr-db", "0", "--memory", "0") == 2
+    assert not out.exists()

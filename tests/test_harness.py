@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from fdrelay import harness
+from fdrelay.channel import config_from_snr_inr
 from fdrelay.harness import (
     SweepRecord,
     SweepResult,
@@ -33,6 +34,20 @@ def test_spec_validation():
     for memory in (0, -3, 2.5, "never"):
         with pytest.raises(ValueError):
             SweepSpec(snr_db=(0.0,), inr_db=(0.0,), memory=memory)
+
+
+def test_spec_rejects_what_its_system_config_rejects():
+    # refused when the spec is built instead of failing in every cell
+    for bad in (dict(iterations=0), dict(n_r=0), dict(n_s=0), dict(convergence_tol=-1.0)):
+        with pytest.raises(ValueError):
+            SweepSpec(snr_db=(0.0,), inr_db=(0.0,), **bad)
+
+
+@pytest.mark.parametrize("memory, cfg_memory", [("auto", math.inf), (math.inf, math.inf), (3, 3)])
+def test_spec_config_of_a_grid_point(memory, cfg_memory):
+    spec = SweepSpec(snr_db=(0.0, 10.0), inr_db=(-5.0,), memory=memory, **TINY)
+    assert spec.config(10.0, -5.0) == config_from_snr_inr(
+        10.0, -5.0, n_s=1, n_r=2, memory=cfg_memory, max_iterations=8, convergence_tol=1e-8)
 
 
 def test_memory_string_roundtrip():

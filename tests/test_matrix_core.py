@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fdrelay.matrix_core import (
     SingularSystemError,
     chained_error_trace_mean,
-    frobenius_sq,
+    fro_sq,
     kron,
     mat,
     solve_linear,
@@ -118,13 +118,13 @@ def test_chained_error_trace_three_identity_factors():
     assert chained_error_trace_mean([np.eye(2)] * 3, 0.5) == pytest.approx(2.0)
 
 
+def test_fro_sq(rng):
+    a = np.stack([_cmat(rng, 3, 2) for _ in range(4)])
+    assert np.allclose(fro_sq(a), [np.linalg.norm(m) ** 2 for m in a], rtol=1e-14, atol=0.0)
+
+
 def test_chained_error_trace_requires_square_matching(rng):
     with pytest.raises(ValueError):
         chained_error_trace_mean([np.eye(2), np.eye(3)], 1.0)
     with pytest.raises(ValueError):
         chained_error_trace_mean([np.eye(2)], 1.0)
-
-
-def test_frobenius_sq(rng):
-    a = _cmat(rng, 3, 2)
-    assert frobenius_sq(a) == pytest.approx(np.linalg.norm(a) ** 2)

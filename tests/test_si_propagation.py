@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fdrelay.channel import config_from_snr_inr, crandn
-from fdrelay.matrix_core import frobenius_sq
-from fdrelay.si_propagation import (
-    MissingHistoryError,
-    RelayHistory,
-    ResidualSICovariance,
-    residual_si_covariance,
-    si_term_gates,
-)
+from fdrelay.channel import config_from_snr_inr, crandn, draw_slot_channels
+from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance, si_term_gates
 
 INF = math.inf
 
@@ -34,46 +27,47 @@ def test_si_term_gates_cases(t, memory, expected):
     assert si_term_gates(t, memory) == expected
 
 
-def _filled_history(cfg, rng, slots):
-    history = RelayHistory(cfg.n_r)
-    for s in range(1, slots + 1):
-        f = crandn(rng, cfg.n_r, cfg.n_r)
-        h1 = crandn(rng, cfg.n_r, cfg.n_s)
-        h2 = crandn(rng, cfg.n_r, cfg.n_s)
-        history.push(s, f, h1, h2)
-    return history
+def _trajectory(cfg, rng, slots):
+    """Random draws of slots 0..slots-1 and beamformers of slots 1..slots."""
+    channels = [draw_slot_channels(cfg, rng, s) for s in range(slots)]
+    beamformers = [crandn(rng, cfg.n_r, cfg.n_r) for _ in range(slots)]
+    return channels, beamformers
+
+
+def _fro_sq(a):
+    return np.linalg.norm(a) ** 2
 
 
 def test_first_slot_has_zero_covariance(small_cfg):
-    history = RelayHistory(small_cfg.n_r)
-    g = residual_si_covariance(history, small_cfg, t=1)
+    g = residual_si_covariance([], [], small_cfg)
     assert g.scale == 0.0
     assert not g.matrix.any()
 
 
 def test_second_slot_matches_manual_trace(small_cfg, rng):
-    history = _filled_history(small_cfg, rng, 1)
-    entry = history.entry(1)
+    channels, beamformers = _trajectory(small_cfg, rng, 1)
+    f, ch = beamformers[0], channels[0]
     expected = small_cfg.sigma_e_sq_r * (
-        small_cfg.p1 * frobenius_sq(entry.f @ entry.h_1r)
-        + small_cfg.p2 * frobenius_sq(entry.f @ entry.h_2r)
-        + small_cfg.sigma_n_sq_r * frobenius_sq(entry.f)
+        small_cfg.p1 * _fro_sq(f @ ch.h_1r)
+        + small_cfg.p2 * _fro_sq(f @ ch.h_2r)
+        + small_cfg.sigma_n_sq_r * _fro_sq(f)
     )
-    g = residual_si_covariance(history, small_cfg, t=2)
+    g = residual_si_covariance(channels, beamformers, small_cfg)
     assert g.scale == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("memory", [1, 2, INF])
 def test_fourth_slot_matches_hand_written_chain_sums(small_cfg, rng, memory):
     # c_s: content forwarded by F_s, n_s = tr(F_s F_s^H), sigma: relay loopback-error variance
-    history = _filled_history(small_cfg, rng, 3)
+    channels, beamformers = _trajectory(small_cfg, rng, 3)
     cfg, sigma = small_cfg, small_cfg.sigma_e_sq_r
     c, n = {}, {}
     for s in (1, 2, 3):
-        e = history.entry(s)
-        q = cfg.p1 * e.h_1r @ e.h_1r.conj().T + cfg.p2 * e.h_2r @ e.h_2r.conj().T + cfg.sigma_n_sq_r * np.eye(2)
-        c[s] = np.trace(e.f @ q @ e.f.conj().T).real
-        n[s] = np.trace(e.f @ e.f.conj().T).real
+        f, ch = beamformers[s - 1], channels[s - 1]
+        h1, h2 = ch.h_1r, ch.h_2r
+        q = cfg.p1 * h1 @ h1.conj().T + cfg.p2 * h2 @ h2.conj().T + cfg.sigma_n_sq_r * np.eye(2)
+        c[s] = np.trace(f @ q @ f.conj().T).real
+        n[s] = np.trace(f @ f.conj().T).real
     expected = {
         # depth 1 from slot 3; depth 2 through F_3 from slot 2; depth 3 through F_3, F_2 from slot 1
         INF: sigma * c[3] + sigma**2 * n[3] * c[2] + sigma**3 * n[3] * n[2] * c[1],
@@ -82,20 +76,20 @@ def test_fourth_slot_matches_hand_written_chain_sums(small_cfg, rng, memory):
         # depths 2 and 3 are beyond the window: F_3 and slot 3's content repeat
         1: sigma * c[3] + sigma**2 * n[3] * c[3] + sigma**3 * n[3] ** 2 * c[3],
     }[memory]
-    g = residual_si_covariance(history, cfg, t=4, memory=memory)
+    g = residual_si_covariance(channels, beamformers, cfg, memory=memory)
     assert g.scale == pytest.approx(expected, rel=1e-12)
 
 
 def test_zero_error_variance_means_zero_covariance(rng):
     cfg = config_from_snr_inr(5.0, -math.inf, n_s=1, n_r=2)
-    history = _filled_history(cfg, rng, 6)
+    channels, beamformers = _trajectory(cfg, rng, 6)
     for t in (2, 4, 7):
-        assert residual_si_covariance(history, cfg, t=t).scale == 0.0
+        assert residual_si_covariance(channels, beamformers[: t - 1], cfg).scale == 0.0
 
 
 def test_covariance_is_nonnegative_scalar_times_identity(small_cfg, rng):
-    history = _filled_history(small_cfg, rng, 5)
-    g = residual_si_covariance(history, small_cfg, t=6, memory=2)
+    channels, beamformers = _trajectory(small_cfg, rng, 5)
+    g = residual_si_covariance(channels, beamformers, small_cfg, memory=2)
     assert g.scale >= 0.0
     off_diagonal = g.matrix - np.diag(np.diag(g.matrix))
     assert np.max(np.abs(off_diagonal)) <= 1e-12
@@ -103,49 +97,34 @@ def test_covariance_is_nonnegative_scalar_times_identity(small_cfg, rng):
 
 
 def test_memory_at_least_t_minus_one_equals_infinite(small_cfg, rng):
-    history = _filled_history(small_cfg, rng, 5)
-    t = 6
-    g_inf = residual_si_covariance(history, small_cfg, t=t, memory=INF)
+    channels, beamformers = _trajectory(small_cfg, rng, 5)
+    t = len(beamformers) + 1
+    g_inf = residual_si_covariance(channels, beamformers, small_cfg, memory=INF)
     for m in (t - 1, t, t + 3):
-        g_m = residual_si_covariance(history, small_cfg, t=t, memory=m)
+        g_m = residual_si_covariance(channels, beamformers, small_cfg, memory=m)
         assert abs(g_m.scale - g_inf.scale) <= 1e-12 * max(1.0, g_inf.scale)
 
 
 def test_truncated_memory_changes_covariance(small_cfg, rng):
-    history = _filled_history(small_cfg, rng, 5)
-    g_inf = residual_si_covariance(history, small_cfg, t=6, memory=INF)
-    g_1 = residual_si_covariance(history, small_cfg, t=6, memory=1)
+    channels, beamformers = _trajectory(small_cfg, rng, 5)
+    g_inf = residual_si_covariance(channels, beamformers, small_cfg, memory=INF)
+    g_1 = residual_si_covariance(channels, beamformers, small_cfg, memory=1)
     assert g_1.scale != pytest.approx(g_inf.scale, rel=1e-6)
 
 
-def test_unbounded_history_retains_everything(small_cfg, rng):
-    history = _filled_history(small_cfg, rng, 10)
-    assert history.next_slot == 11
-    assert [history.entry(s).slot for s in range(1, 11)] == list(range(1, 11))
+def test_rejects_beamformer_of_wrong_shape(small_cfg, rng):
+    channels, _ = _trajectory(small_cfg, rng, 1)
+    for shape in ((3, 3), (4, 1)):
+        with pytest.raises(ValueError, match="2x2"):
+            residual_si_covariance(channels, [crandn(rng, *shape)], small_cfg)
 
 
-def test_push_rejects_wrong_shape(small_cfg, rng):
-    history = RelayHistory(small_cfg.n_r)
-    with pytest.raises(ValueError):
-        history.push(1, crandn(rng, 3, 3), crandn(rng, 2, 1), crandn(rng, 2, 1))
-
-
-def test_push_rejects_gap(small_cfg, rng):
-    history = RelayHistory(small_cfg.n_r)
-    history.push(1, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
-    with pytest.raises(ValueError):
-        history.push(3, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
-
-
-def test_missing_history_error_names_needed_slot(small_cfg, rng):
-    history = RelayHistory(small_cfg.n_r)
-    for s in (2, 3):
-        history.push(s, crandn(rng, 2, 2), crandn(rng, 2, 1), crandn(rng, 2, 1))
-    # the depth-3 chain of slot 4 starts from slot 1, which the history never held
-    with pytest.raises(MissingHistoryError) as excinfo:
-        residual_si_covariance(history, small_cfg, t=4)
-    assert excinfo.value.slot == 1
-    assert "slot 1" in str(excinfo.value)
+def test_rejects_channels_too_short(small_cfg, rng):
+    channels, beamformers = _trajectory(small_cfg, rng, 3)
+    # slot 4's depth-3 chain carries the content of slot 0
+    assert residual_si_covariance(channels, beamformers, small_cfg).scale > 0.0
+    with pytest.raises(ValueError, match="slots 0..2"):
+        residual_si_covariance(channels[1:], beamformers, small_cfg)
 
 
 def test_zero_covariance_helper(small_cfg):

@@ -11,7 +11,7 @@ from fdrelay.beamforming import (
 from fdrelay.channel import config_from_snr_inr
 from fdrelay.engine import run_trajectories_batch
 from fdrelay.metrics import achievable_sum_rate
-from fdrelay.si_propagation import RelayHistory, ResidualSICovariance, residual_si_covariance
+from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance
 from fdrelay.simulate import run_trajectory
 
 
@@ -125,24 +125,24 @@ def test_batched_engine_respects_convergence_tolerance():
 @pytest.mark.parametrize("memory", [math.inf, 2])
 def test_trajectory_matches_per_realization_formulas(scheme, memory):
     # every slot of the engine's loop, rebuilt through the per-realization entry points: the
-    # history's SI scale, the realized-chain rate and the conventional recalibration
+    # trajectory's SI scale, the realized-chain rate and the conventional recalibration
     cfg = config_from_snr_inr(3.0, 4.0, n_s=2, n_r=3).with_memory(memory)
     traj = run_trajectory(cfg, scheme, slots=5, seed=13, realization=1)
     channels, solutions = traj.channels, traj.solutions
     zero = ResidualSICovariance.zero(cfg.n_r)
     budget = cfg.n_r * cfg.pr
-    history = RelayHistory(cfg.n_r)
+    beamformers = [sol.f for sol in solutions]
 
     def close(value, reference):
         return abs(value - reference) <= 1e-10 * abs(reference)
 
     for t, (sol, metrics) in enumerate(zip(solutions, traj.metrics), start=1):
         ch_t, ch_prev = channels[t], channels[t - 1]
-        g_true = residual_si_covariance(history, cfg, t=t, memory=math.inf)
+        g_true = residual_si_covariance(channels, beamformers[: t - 1], cfg, memory=math.inf)
         ops_true = build_slot_operators(ch_t, ch_prev, g_true, sol.r1, sol.r2, cfg)
         assert close(metrics.sum_mse, evaluate_sum_mse(ops_true, sol.f_bar, sol.alpha, sol.r1, sol.r2, cfg))
 
-        rate = achievable_sum_rate(channels[: t + 1], [s.f for s in solutions[:t]], sol, cfg)
+        rate = achievable_sum_rate(channels[: t + 1], beamformers[:t], sol, cfg)
         for value, reference in ((metrics.sum_rate, rate.sum_rate), (metrics.rate_1, rate.rate_1),
                                  (metrics.rate_2, rate.rate_2)):
             assert close(value, reference)
@@ -160,8 +160,6 @@ def test_trajectory_matches_per_realization_formulas(scheme, memory):
             g_design = zero
         else:
             alpha, r1, r2 = sol.alpha, sol.r1, sol.r2
-            g_design = residual_si_covariance(history, cfg, t=t)
+            g_design = residual_si_covariance(channels, beamformers[: t - 1], cfg)
         ops_design = build_slot_operators(ch_t, ch_prev, g_design, r1, r2, cfg)
         assert close(sol.j_value, evaluate_sum_mse(ops_design, sol.f_bar, alpha, r1, r2, cfg))
-
-        history.push(t, sol.f, ch_prev.h_1r, ch_prev.h_2r)

@@ -6,7 +6,7 @@ import pytest
 from fdrelay.beamforming import alternate_optimize, build_slot_operators
 from fdrelay.channel import config_from_snr_inr, crandn, draw_slot_channels, slot_rng
 from fdrelay.matrix_core import chained_error_trace_mean
-from fdrelay.si_propagation import RelayHistory, ResidualSICovariance, residual_si_covariance
+from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance
 from fdrelay.simulate import run_trajectory
 from fdrelay.validation import (
     brute_force_relay_opt,
@@ -67,10 +67,7 @@ def test_signal_chain_mse_matches_analytic(small_cfg, rng):
 def test_signal_chain_si_covariance_matches_closed_form(small_cfg, rng):
     traj = run_trajectory(small_cfg, "proposed", slots=4, seed=3, realization=0)
     ens = simulate_signal_chain(traj.channels, traj.solutions, small_cfg, rng, 100_000)
-    history = RelayHistory(small_cfg.n_r)
-    for s, sol in enumerate(traj.solutions[:-1], start=1):
-        history.push(s, sol.f, traj.channels[s - 1].h_1r, traj.channels[s - 1].h_2r)
-    g_c = residual_si_covariance(history, small_cfg, t=4)
+    g_c = residual_si_covariance(traj.channels, [sol.f for sol in traj.solutions[:-1]], small_cfg)
     assert ens.empirical_si_scale() == pytest.approx(g_c.scale, rel=0.03)
     # identity structure: off-diagonal entries vanish in expectation
     cov = ens.empirical_si_covariance()
@@ -90,14 +87,12 @@ def test_truncation_changes_si_exactly_beyond_window(small_cfg, rng):
     # slots 1..3: a window of 2 covers all history, so truncated == exact;
     # slot 4 is the first where the depth-3 chain is replaced
     traj = run_trajectory(small_cfg.with_memory(2), "proposed", slots=4, seed=5, realization=0)
-    history = RelayHistory(small_cfg.n_r)
-    for s, sol in enumerate(traj.solutions[:-1], start=1):
-        history.push(s, sol.f, traj.channels[s - 1].h_1r, traj.channels[s - 1].h_2r)
-    exact_3 = residual_si_covariance(history, small_cfg, t=3, memory=math.inf)
-    model_3 = residual_si_covariance(history, small_cfg, t=3, memory=2)
+    beamformers = [sol.f for sol in traj.solutions]
+    exact_3 = residual_si_covariance(traj.channels, beamformers[:2], small_cfg, memory=math.inf)
+    model_3 = residual_si_covariance(traj.channels, beamformers[:2], small_cfg, memory=2)
     assert model_3.scale == pytest.approx(exact_3.scale, rel=1e-12)
-    exact_4 = residual_si_covariance(history, small_cfg, t=4, memory=math.inf)
-    model_4 = residual_si_covariance(history, small_cfg, t=4, memory=2)
+    exact_4 = residual_si_covariance(traj.channels, beamformers[:3], small_cfg, memory=math.inf)
+    model_4 = residual_si_covariance(traj.channels, beamformers[:3], small_cfg, memory=2)
     assert model_4.scale != pytest.approx(exact_4.scale, rel=1e-6)
 
 
