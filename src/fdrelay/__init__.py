@@ -45,7 +45,7 @@ from .matrix_core import (
 )
 from .memory_select import MemoryProbe, MemorySelection, NoStableMemoryError, select_memory
 from .metrics import SlotMetrics, achievable_sum_rate, duplex_mode_select, half_duplex_reference
-from .si_propagation import ResidualSICovariance, residual_si_covariance, si_term_gates
+from .si_propagation import ResidualSICovariance, residual_si_covariance
 from .simulate import SCHEMES, TrajectoryResult, run_trajectory
 from .validation import (
     SignalChainEnsemble,

@@ -32,13 +32,12 @@ MEMORY_INFINITE = math.inf
 MEMORY_AUTO = "auto"
 
 
-def check_memory(memory, allow_auto: bool = False):
-    """``memory`` if it is a positive integer or infinite (or, with ``allow_auto``, 'auto'); else ValueError."""
-    if memory == MEMORY_INFINITE or (allow_auto and memory == MEMORY_AUTO):
+def check_memory(memory):
+    """``memory`` if it is a positive integer or infinite; else ValueError."""
+    if memory == MEMORY_INFINITE:
         return memory
     if isinstance(memory, str) or not float(memory).is_integer() or memory < 1:
-        kinds = "a positive integer, infinite, or 'auto'" if allow_auto else "a positive integer or infinite"
-        raise ValueError(f"memory must be {kinds}, got {memory!r}")
+        raise ValueError(f"memory must be a positive integer or infinite, got {memory!r}")
     return memory
 
 
@@ -47,8 +46,8 @@ class SystemConfig:
     """Scalar parameters feeding every formula in the design.
 
     ``memory`` is the number of latest past slots the beamforming design may
-    use: a positive integer, ``MEMORY_INFINITE`` for unbounded, or
-    ``MEMORY_AUTO`` to let the stability search pick it.
+    use: a positive integer, or ``MEMORY_INFINITE`` for unbounded.  A sweep
+    resolves its ``MEMORY_AUTO`` before it builds a configuration.
     """
 
     n_s: int
@@ -62,7 +61,7 @@ class SystemConfig:
     sigma_e_sq_1: float = 0.0
     sigma_e_sq_2: float = 0.0
     sigma_e_sq_r: float = 0.0
-    memory: int | float | str = MEMORY_INFINITE
+    memory: int | float = MEMORY_INFINITE
     max_iterations: int = 30
     convergence_tol: float = 1e-8
 
@@ -78,7 +77,7 @@ class SystemConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        check_memory(self.memory, allow_auto=True)
+        check_memory(self.memory)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol < 0:

@@ -58,9 +58,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, single_point: bool):
     parser.add_argument("--inr-db", type=parse_grid, default=(0.0,), help=f"INR grid in dB ({grid_kind})")
     parser.add_argument("--ns", type=int, default=2, help="antennas per source")
     parser.add_argument("--nr", type=int, default=5, help="relay antennas")
-    parser.add_argument("--slots", type=int, default=10, help="full-duplex slots per trajectory")
-    parser.add_argument("--memory", type=memory_from_str, default="inf",
-                        help="design memory: positive integer, 'inf', or 'auto'")
     parser.add_argument("--realizations", type=int, default=100, help="channel realizations")
     parser.add_argument("--iterations", type=int, default=30, help="alternating iterations per slot")
     parser.add_argument("--tol", type=float, default=1e-8, help="relative convergence tolerance")
@@ -70,7 +67,11 @@ def _add_common_flags(parser: argparse.ArgumentParser, single_point: bool):
                         help="JSON file with sweep fields; overrides flags")
 
 
-def _add_output_flags(parser: argparse.ArgumentParser):
+def _add_run_flags(parser: argparse.ArgumentParser):
+    """Flags of the commands that run trajectories and write their records."""
+    parser.add_argument("--slots", type=int, default=10, help="full-duplex slots per trajectory")
+    parser.add_argument("--memory", type=memory_from_str, default="inf",
+                        help="design memory: positive integer, 'inf', or 'auto'")
     parser.add_argument("--scheme", default="proposed",
                         help="comma list from proposed,conventional,relay_only,half_duplex")
     parser.add_argument("--out", required=True, help="output file path")
@@ -86,20 +87,19 @@ def _usage_error(args, message: str) -> NoReturn:
 
 def _spec_from_args(args) -> SweepSpec:
     try:
-        scheme = getattr(args, "scheme", "proposed")
         values = {
             "snr_db": args.snr_db,
             "inr_db": args.inr_db,
-            "schemes": tuple(s.strip() for s in scheme.split(",") if s.strip()),
             "n_s": args.ns,
             "n_r": args.nr,
-            "slots": args.slots,
-            "memory": args.memory,
             "realizations": args.realizations,
             "iterations": args.iterations,
             "convergence_tol": args.tol,
             "seed": _default_seed() if args.seed is None else args.seed,
         }
+        if hasattr(args, "scheme"):  # select-memory has no scheme, slot count or memory to set
+            values.update(schemes=tuple(s.strip() for s in args.scheme.split(",") if s.strip()),
+                          slots=args.slots, memory=args.memory)
         if args.config:
             with open(args.config) as handle:
                 overrides = json.load(handle)
@@ -178,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run a (SNR, INR, scheme) grid and emit records")
     _add_common_flags(sweep, single_point=False)
-    _add_output_flags(sweep)
+    _add_run_flags(sweep)
     sweep.set_defaults(func=_run_sweep_command)
 
     trajectory = sub.add_parser("trajectory", help="per-slot series at one operating point")
     _add_common_flags(trajectory, single_point=True)
-    _add_output_flags(trajectory)
+    _add_run_flags(trajectory)
     trajectory.set_defaults(func=_run_trajectory_command)
 
     select = sub.add_parser("select-memory", help="stability search for the design memory")

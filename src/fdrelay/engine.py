@@ -17,10 +17,15 @@ Each formula of a slot exists once, batched over realizations: the design,
 the true MSE and the Wiener receivers in :class:`fdrelay.beamforming.SlotProblem`
 and :class:`fdrelay.beamforming.RelaySystem`, the residual-SI scale in
 :func:`fdrelay.si_propagation.residual_si_scale`, the rate in
-:func:`_batch_rates` with :func:`_content_factor_batch`.  The per-realization
-entry points of ``beamforming``, ``si_propagation`` and ``metrics`` call them
-with a stack of one.  Independent checks are the sampling oracles in
-:mod:`fdrelay.validation` and the hand-written formulas in the tests.
+:func:`_batch_rates`.  Each carried quantity follows one recursion per slot:
+the scale folds the previous slot's traces, and the realized relay-side
+interference is rolled forward by :func:`_relay_interference` (fresh noise
+plus the previous transmission through the realized loopback error) and
+:func:`_relay_transmission` (the beamformer applied to the sources' signals
+and that interference).  The per-realization entry points of ``beamforming``,
+``si_propagation`` and ``metrics`` call the same code with a stack of one.
+Independent checks are the sampling oracles in :mod:`fdrelay.validation` and
+the hand-written formulas in the tests.
 
 Scheme semantics:
 
@@ -54,14 +59,7 @@ from typing import Sequence
 import numpy as np
 
 from .beamforming import BatchDesign, SlotProblem, design_slot_batch
-from .channel import (
-    MEMORY_AUTO,
-    MEMORY_INFINITE,
-    SystemConfig,
-    TimeSlotChannels,
-    draw_slot_channels,
-    slot_rng,
-)
+from .channel import MEMORY_INFINITE, SystemConfig, TimeSlotChannels, draw_slot_channels, slot_rng
 from .matrix_core import fro_sq, herm
 from .si_propagation import content_trace, residual_si_scale
 
@@ -92,6 +90,22 @@ def _slot_problem(cfg: SystemConfig, ch_t: TimeSlotChannels, ch_prev: TimeSlotCh
 def _noise_block(cfg: SystemConfig, size: int) -> np.ndarray:
     """Stacked Gram factor of the fresh relay noise, sigma_nr I."""
     return math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(cfg.n_r), (size, cfg.n_r, cfg.n_r))
+
+
+def _relay_interference(cfg: SystemConfig, ch_prev: TimeSlotChannels, x_r_factor) -> np.ndarray:
+    """Gram factor of a slot's relay-side interference: fresh relay noise plus
+    the previous slot's transmission ``x_r_factor`` leaked through its realized
+    relay loopback error (none before the first full-duplex slot)."""
+    noise = _noise_block(cfg, len(ch_prev.h_1r))
+    if x_r_factor is None:
+        return noise
+    return np.concatenate([noise, ch_prev.delta_rr @ x_r_factor], axis=2)
+
+
+def _relay_transmission(cfg: SystemConfig, ch_prev: TimeSlotChannels, core: np.ndarray, f) -> np.ndarray:
+    """Gram factor F [sqrt(p1) H1, sqrt(p2) H2, core] of the relay's transmission
+    in a slot: the sources' previous-slot signals plus the interference ``core``."""
+    return f @ np.concatenate([math.sqrt(cfg.p1) * ch_prev.h_1r, math.sqrt(cfg.p2) * ch_prev.h_2r, core], axis=2)
 
 
 def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r) -> np.ndarray:
@@ -127,18 +141,6 @@ def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r)
         gains = np.linalg.svd(y, compute_uv=False) ** 2
         rates.append(np.sum(np.log1p(gains), axis=-1) / math.log(2.0))
     return np.stack(rates, axis=1)
-
-
-def _content_factor_batch(cfg: SystemConfig, ch: TimeSlotChannels) -> np.ndarray:
-    """Batched factor G with G G^H = p1 H1 H1^H + p2 H2 H2^H + sigma_nr^2 I."""
-    return np.concatenate(
-        [
-            math.sqrt(cfg.p1) * ch.h_1r,
-            math.sqrt(cfg.p2) * ch.h_2r,
-            _noise_block(cfg, len(ch.h_1r)),
-        ],
-        axis=2,
-    )
 
 
 def _half_duplex_slot(cfg: SystemConfig, ch_mac: TimeSlotChannels,
@@ -205,8 +207,6 @@ class _TrajectoryState:
         """
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        if cfg.memory == MEMORY_AUTO:
-            raise ValueError("memory 'auto' must be resolved (see select_memory) before simulation")
         for t in range(self.slot + 1, until_slot + 1):
             if len(self.channels) == t:
                 self.channels.append(_draw_stacked(cfg, self.seed, t, self.realizations))
@@ -250,23 +250,10 @@ class _TrajectoryState:
             j_true = true_problem.objective(f_bar, alpha, r)
         f = alpha[:, None, None] * f_bar
 
-        # Interference factor of this slot's relay input: fresh relay noise
-        # plus the previous transmission leaked through the realized error.
-        noise_block = _noise_block(cfg, size)
-        if self.x_r_factor is None:
-            leak = None
-            core_factor = noise_block
-        else:
-            leak = ch_prev.delta_rr @ self.x_r_factor
-            core_factor = np.concatenate([noise_block, leak], axis=2)
-        rates = _batch_rates(cfg, ch_t, ch_prev, core_factor, f_bar, alpha, r)
+        core = _relay_interference(cfg, ch_prev, self.x_r_factor)
+        rates = _batch_rates(cfg, ch_t, ch_prev, core, f_bar, alpha, r)
         self._record(j_true, rates, replace(design, alpha=alpha, r=r))
-
-        # Roll the trajectory state forward.
-        relay_input_factor = _content_factor_batch(cfg, ch_prev)
-        if leak is not None:
-            relay_input_factor = np.concatenate([relay_input_factor, leak], axis=2)
-        self.x_r_factor = f @ relay_input_factor
+        self.x_r_factor = _relay_transmission(cfg, ch_prev, core, f)
         self.f_norm_sq += (fro_sq(f),)
         self.content_trace += (content_trace(cfg, f, ch_prev.h_1r, ch_prev.h_2r),)
 

@@ -7,11 +7,12 @@ chains), while symbols and thermal noises are averaged analytically.  Ensemble
 averages are taken by the sweep harness across channel realizations.
 
 The rate formula exists once, batched, in :func:`fdrelay.engine._batch_rates`,
-which carries the relay-side interference forward slot by slot.
-:func:`achievable_sum_rate` instead rebuilds that interference for one
-realization from the realized error chains of its whole trajectory and then
-calls the batched rate with a stack of one; :func:`half_duplex_reference` is
-the engine's half-duplex slot for a stack of one.  Independent checks of the
+and the relay-side interference it reads is rolled forward slot by slot by
+the engine's :func:`fdrelay.engine._relay_interference` and
+:func:`fdrelay.engine._relay_transmission`.  :func:`achievable_sum_rate` rolls
+the same two steps over one realization's trajectory and calls the batched
+rate with a stack of one; :func:`half_duplex_reference` is the engine's
+half-duplex slot for a stack of one.  Independent checks of the
 rate are the hand-written log-det formulas in the tests.
 """
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .beamforming import BeamformingSolution
 from .channel import SystemConfig, TimeSlotChannels
-from .engine import _batch_rates, _content_factor_batch, _half_duplex_slot, _noise_block
+from .engine import _batch_rates, _half_duplex_slot, _relay_interference, _relay_transmission
 
 __all__ = [
     "SlotMetrics",
@@ -74,15 +75,13 @@ def achievable_sum_rate(
         raise ValueError("need channels for slots 0..t and beamformers for slots 1..t")
     stacks = [TimeSlotChannels.stack([ch]) for ch in channels]
 
-    # Relay-side interference factor: fresh relay noise plus all realized
-    # error-amplified chains; identical for both sources.
-    blocks = [_noise_block(cfg, 1)]
-    chain = np.eye(cfg.n_r)
-    for depth in range(2, t + 1):
-        s = t - depth + 1  # slot whose error/beamformer extends the chain
-        chain = chain @ (stacks[s].delta_rr @ beamformers[s - 1])
-        blocks.append(chain @ _content_factor_batch(cfg, stacks[t - depth]))
-    rates = _batch_rates(cfg, stacks[t], stacks[t - 1], np.concatenate(blocks, axis=2), solution.f_bar[None],
+    # Relay-side interference factor, rolled forward through the realized
+    # relay errors; identical for both sources.
+    core = _relay_interference(cfg, stacks[0], None)
+    for s in range(1, t):
+        x_r_factor = _relay_transmission(cfg, stacks[s - 1], core, beamformers[s - 1])
+        core = _relay_interference(cfg, stacks[s], x_r_factor)
+    rates = _batch_rates(cfg, stacks[t], stacks[t - 1], core, solution.f_bar[None],
                          np.array([solution.alpha]), np.stack([solution.r1, solution.r2])[None])
     return SlotMetrics.from_rates(channels[t].slot_index, scheme, solution.j_value, rates[0])
 

@@ -1,21 +1,18 @@
 """The residual loopback-SI covariance at the relay.
 
 In slot t the relay's post-cancellation input carries, besides the fresh
-signals, every past slot's content re-amplified through chains of
-(error matrix x beamformer) products.  Averaging over the loopback errors,
-each chain of depth c collapses to a real scalar times the identity:
+signals, the previous slot's residual SI re-amplified by the previous
+beamformer.  Averaging over the loopback errors, the covariance is a real
+scalar times the identity, and its scale follows one recursion:
 
-    sigma_er^(2c) * [product of tr(F_j F_j^H) over the c-1 outer beamformers]
-                  * tr(F_in (p1 H1 H1^H + p2 H2 H2^H + sigma_nr^2 I) F_in^H)
+    s_1 = 0,    s_t = sigma_er^2 * (c_{t-1} + n_{t-1} * s_{t-1})
 
-where F_in is the innermost beamformer and H1/H2 are the inbound channels of
-the slot whose content the chain carries.  With design memory m, chains deeper
-than m are modeled with the oldest stored beamformer and channels repeated in
-place of the forgotten ones.  Three gates select which chain groups exist:
-
-    depth 1        -> from slot 2 on
-    depths 2..m    -> from slot 3 on, when m >= 2 (window sum)
-    depths > m     -> from slot m+2 on (beyond-window sum, repeated oldest)
+with n_k = tr(F_k F_k^H) and c_k = tr(F_k (p1 H1 H1^H + p2 H2 H2^H +
+sigma_nr^2 I) F_k^H), where H1/H2 are the inbound channels of slot k-1.
+Unrolled, s_t is the sum over chain depths d = 1..t-1 of
+sigma_er^(2d) * n_{t-1} ... n_{t-d+1} * c_{t-d}.  With design memory m the
+slots before t-m are forgotten, and the oldest kept slot t-m (its beamformer
+and channels) repeats in their place: slot k is read as slot max(k, t-m).
 
 The covariance is exactly a nonnegative scalar times I, so it is stored by its
 scalar with a matrix view for generic code paths.
@@ -25,7 +22,7 @@ realizations: the engine's slot loop calls it with the traces it carries, and
 :func:`residual_si_covariance` with those of one trajectory, given as its
 channel draws and applied beamformers, as a stack of one.  Independent checks
 are the sampling oracle :func:`fdrelay.validation.simulate_signal_chain` and
-the hand-written chain sums in the tests.
+the depth sums written out in the tests.
 """
 
 from __future__ import annotations
@@ -35,12 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import MEMORY_INFINITE, SystemConfig, TimeSlotChannels, check_memory
+from .channel import SystemConfig, TimeSlotChannels, check_memory
 from .matrix_core import fro_sq
 
 __all__ = [
     "ResidualSICovariance",
-    "si_term_gates",
     "content_trace",
     "residual_si_scale",
     "residual_si_covariance",
@@ -63,21 +59,6 @@ class ResidualSICovariance:
         return cls(scale=0.0, n_r=n_r)
 
 
-def si_term_gates(t: int, memory: int | float) -> tuple[bool, bool, bool]:
-    """Which chain groups contribute in slot t under design memory ``memory``.
-
-    Returns (one_step, window, beyond): all False at t=1; one_step from t=2;
-    window when t >= 3 and memory >= 2; beyond when t >= memory + 2.
-    """
-    if t < 1:
-        raise ValueError("slot index must be >= 1")
-    check_memory(memory)
-    one_step = t >= 2
-    window = t >= 3 and memory >= 2
-    beyond = memory != MEMORY_INFINITE and t >= memory + 2
-    return one_step, window, beyond
-
-
 def content_trace(cfg: SystemConfig, f: np.ndarray, h_1r: np.ndarray, h_2r: np.ndarray) -> np.ndarray:
     """tr{F (p1 H1 H1^H + p2 H2 H2^H + sigma_nr^2 I) F^H} for stacks of F and inbound channels."""
     return cfg.p1 * fro_sq(f @ h_1r) + cfg.p2 * fro_sq(f @ h_2r) + cfg.sigma_n_sq_r * fro_sq(f)
@@ -87,29 +68,17 @@ def residual_si_scale(cfg: SystemConfig, memory: int | float, t: int, f_norm_sq,
                       realizations: int) -> np.ndarray:
     """Residual-SI covariance scale of slot ``t`` for a stack of ``realizations`` trajectories.
 
-    ``f_norm_sq[s - 1]`` and ``content_traces[s - 1]`` hold, per realization,
-    tr(F_s F_s^H) and the :func:`content_trace` of the beamformer applied in
-    slot s; only the slots that the gated chain groups need are read.
+    ``f_norm_sq[k - 1]`` and ``content_traces[k - 1]`` hold, per realization,
+    n_k = tr(F_k F_k^H) and the :func:`content_trace` c_k of the beamformer
+    applied in slot k; slots max(1, t-m)..t-1 are read under memory m.
     """
-    one_step, window, beyond = si_term_gates(t, memory)
-    sigma_sq = cfg.sigma_e_sq_r
-    if sigma_sq == 0.0 or not one_step:
-        return np.zeros(realizations)
-    scale = sigma_sq * content_traces[t - 2]
-    if window:
-        outer = np.ones(realizations)  # product of tr(F_j F_j^H) over the chain's outer beamformers
-        for depth in range(2, int(min(memory, t - 1)) + 1):
-            outer = outer * f_norm_sq[t - depth]
-            scale = scale + sigma_sq**depth * outer * content_traces[t - depth - 1]
-    if beyond:
-        m_int = int(memory)
-        outer = np.ones(realizations)
-        for j in range(t - m_int + 1, t):
-            outer = outer * f_norm_sq[j - 1]
-        oldest_norm = f_norm_sq[t - m_int - 1]
-        content = content_traces[t - m_int - 1]
-        for depth in range(m_int + 1, t):
-            scale = scale + sigma_sq**depth * outer * oldest_norm ** (depth - m_int) * content
+    if t < 1:
+        raise ValueError("slot index must be >= 1")
+    check_memory(memory)
+    scale = np.zeros(realizations)
+    for s in range(1, t):
+        k = int(max(s, t - memory)) - 1  # slots before t-m are read as slot t-m
+        scale = cfg.sigma_e_sq_r * (content_traces[k] + f_norm_sq[k] * scale)
     return scale
 
 

@@ -41,7 +41,8 @@ def test_config_validation():
         SystemConfig(n_s=1, n_r=2, sigma_e_sq_r=-0.1)
     with pytest.raises(ValueError):
         SystemConfig(n_s=1, n_r=2, memory=0)
-    SystemConfig(n_s=1, n_r=2, memory=MEMORY_AUTO)
+    with pytest.raises(ValueError, match="positive integer or infinite"):
+        SystemConfig(n_s=1, n_r=2, memory=MEMORY_AUTO)  # only a sweep resolves 'auto'
     SystemConfig(n_s=1, n_r=2, memory=MEMORY_INFINITE)
 
 

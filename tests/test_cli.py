@@ -104,6 +104,21 @@ def test_select_memory_command(capsys):
     assert "selected memory: 1" in out
 
 
+@pytest.mark.parametrize("flag", [["--memory", "3"], ["--slots", "1"]])
+def test_select_memory_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
+    argv = ["select-memory", "--snr-db", "0", "--inr-db", "0", "--realizations", "2"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + flag)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({flag[0][2:]: int(flag[1])}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--config", str(config)])
+    assert excinfo.value.code == 2
+    assert f"unknown config key {flag[0][2:]!r}" in capsys.readouterr().err
+
+
 def test_validate_command(capsys):
     code = main(["validate", "--draws", "4000", "--seed", "0"])
     out = capsys.readouterr().out
@@ -129,7 +144,7 @@ _BAD_VALUES = (["--memory", "0"], ["--scheme", "nope"], ["--realizations", "0"],
 
 @pytest.mark.parametrize("command, bad", [
     (command, bad) for command in ("sweep", "trajectory", "select-memory") for bad in _BAD_VALUES
-    if command != "select-memory" or bad[0] != "--scheme"  # select-memory takes no --scheme
+    if command != "select-memory" or bad[0] not in ("--scheme", "--memory")  # flags select-memory lacks
 ])
 def test_bad_spec_value_is_a_usage_error(tmp_path, capsys, command, bad):
     out = tmp_path / "r.csv"

@@ -3,28 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from fdrelay.channel import config_from_snr_inr, crandn, draw_slot_channels
-from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance, si_term_gates
+from fdrelay.channel import SystemConfig, config_from_snr_inr, crandn, draw_slot_channels
+from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance, residual_si_scale
 
 INF = math.inf
 
 
-@pytest.mark.parametrize(
-    "t,memory,expected",
-    [
-        (1, 3, (False, False, False)),
-        (2, 3, (True, False, False)),
-        (5, 1, (True, False, True)),
-        (4, 5, (True, True, False)),
-        (9, 3, (True, True, True)),
-        (3, INF, (True, True, False)),
-        (100, INF, (True, True, False)),
-        (2, 1, (True, False, False)),
-        (3, 1, (True, False, True)),
-    ],
-)
-def test_si_term_gates_cases(t, memory, expected):
-    assert si_term_gates(t, memory) == expected
+def _depth_sum(sigma, n, c, t, memory):
+    """Scale of slot t as the sum over chain depths d = 1..t-1: within the memory
+    window sigma^d n_{t-1}...n_{t-d+1} c_{t-d}; beyond it the oldest kept slot t-m
+    stands in for every forgotten one, sigma^d n_{t-1}...n_{t-m+1} n_{t-m}^(d-m) c_{t-m}."""
+    total = 0.0
+    for d in range(1, t):
+        if d <= memory:
+            term = math.prod(n[t - d + 1:t]) * c[t - d]
+        else:
+            term = math.prod(n[t - memory + 1:t]) * n[t - memory] ** (d - memory) * c[t - memory]
+        total = total + sigma**d * term
+    return total
+
+
+@pytest.mark.parametrize("memory", [1, 2, 3, INF])
+@pytest.mark.parametrize("t", range(1, 10))
+def test_scale_fold_matches_depth_sum(rng, t, memory):
+    cfg = SystemConfig(n_s=1, n_r=2, sigma_e_sq_r=0.7)
+    # n[k], c[k]: tr(F_k F_k^H) and content trace of slot k for three realizations (n[0], c[0] unused)
+    n = [None, *rng.uniform(0.2, 3.0, (t - 1, 3))]
+    c = [None, *rng.uniform(0.2, 3.0, (t - 1, 3))]
+    scale = residual_si_scale(cfg, memory, t, n[1:], c[1:], 3)
+    expected = _depth_sum(cfg.sigma_e_sq_r, n, c, t, memory)
+    assert np.allclose(scale, expected, rtol=1e-12, atol=0.0)
+
+
+def test_scale_rejects_slot_zero_and_bad_memory():
+    cfg = SystemConfig(n_s=1, n_r=2, sigma_e_sq_r=0.7)
+    with pytest.raises(ValueError, match="slot index"):
+        residual_si_scale(cfg, 2, 0, [], [], 1)
+    for memory in (0, 2.5, "auto"):
+        with pytest.raises(ValueError, match="memory"):
+            residual_si_scale(cfg, memory, 3, [np.ones(1)] * 2, [np.ones(1)] * 2, 1)
 
 
 def _trajectory(cfg, rng, slots):

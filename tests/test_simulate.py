@@ -16,9 +16,9 @@ from fdrelay.simulate import run_trajectory
 
 
 def test_requires_resolved_memory():
-    cfg = config_from_snr_inr(5.0, 0.0, n_s=1, n_r=2, memory="auto")
-    with pytest.raises(ValueError):
-        run_trajectory(cfg, "proposed", slots=2, seed=0)
+    # 'auto' is a sweep setting: no system configuration, and so no trajectory, takes it
+    with pytest.raises(ValueError, match="positive integer or infinite"):
+        config_from_snr_inr(5.0, 0.0, n_s=1, n_r=2, memory="auto")
 
 
 def test_rejects_unknown_scheme(small_cfg):
