@@ -9,11 +9,12 @@ solution:
       W_f1 Fb G_1 + W_f2 Fb G_2 + w_f / (n_r pr) * Fb G_r = W_f0
   is solved in its structured form (:class:`RelaySystem`: a Sylvester
   operator plus a rank-2 n_s^2 correction, inverted by the Woodbury
-  identity at O(n_r^3) per system; the n_r^2 x n_r^2 Kronecker form is only
-  the fallback when the structured solution misses its residual check); the
-  solution is renormalized to unit Frobenius norm with alpha restored from the
-  transmit power constraint tr(F G_r F^H) = n_r pr (the physical F is
-  invariant to that rescaling);
+  identity at O(n_r^3) per system, never as the n_r^2 x n_r^2 Kronecker
+  system; a step that misses its residual check is singular when a
+  condition estimate of the operator says so, and is otherwise refined
+  once); the solution is renormalized to unit Frobenius norm with alpha
+  restored from the transmit power constraint tr(F G_r F^H) = n_r pr (the
+  physical F is invariant to that rescaling);
 * receive step: per-source regularized Wiener inverse.
 
 Both steps and the sum MSE exist once, batched over realizations, in
@@ -43,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import SystemConfig, TimeSlotChannels
-from .matrix_core import fro_sq, herm, kron, mat, solve_linear, trace_quad, vec
+from .matrix_core import CONDITION_LIMIT, SingularSystemError, fro_sq, herm, trace_quad
 from .si_propagation import ResidualSICovariance
 
 __all__ = [
@@ -63,7 +64,8 @@ __all__ = [
 ]
 
 
-# Relay steps whose relative residual exceeds this are redone by solve_linear.
+# Relay steps whose relative residual exceeds this get a condition estimate and
+# one refinement step.
 _SOLVE_RESIDUAL_LIMIT = 1e-10
 
 # Blend weights tried around the current one at every accelerated iteration.
@@ -398,15 +400,23 @@ class RelaySystem:
 
     Per system that is one n_r x n_r inverse (of M) and one of the
     capacitance matrix; the slot's G_r^-1 parts come from
-    :attr:`SlotProblem.solve_factors`.
+    :attr:`SlotProblem.solve_factors`.  K is self-adjoint in the Frobenius
+    inner product (W_l, G_l and G_r are Hermitian), and so is K^-1.
     """
 
     def __init__(self, problem: SlotProblem, r: np.ndarray):
         self.problem = problem
+        self.r = r
         self.b = herm(r) @ problem.h                  # B_l, (R, 2, n_s, n_r)
         self.w = herm(self.b) @ self.b                # W_l
         self.w0 = problem._w_f0(self.b)
         self.c = _w_f(problem.nu, r) / problem.budget
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """K applied to ``x``, (R, count, n_r, n_r)."""
+        p = self.problem
+        return (self.w[:, None] @ x[:, :, None] @ p.g[:, None]).sum(axis=2) \
+            + self.c[:, None, None, None] * (x @ p.gr[:, None])
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """K(X) - W_f0 for a stack of n_r x n_r matrices.
@@ -416,8 +426,7 @@ class RelaySystem:
         the envelope theorem; conjugate-gradient convention
         dJ = 2 Re tr(grad^H dF)).
         """
-        p = self.problem
-        return (self.w @ x[:, None] @ p.g).sum(axis=1) + self.c[:, None, None] * (x @ p.gr) - self.w0
+        return self.apply(x[:, None])[:, 0] - self.w0
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,27 +465,46 @@ class RelaySystem:
         correction = y.reshape(size, count, n_r * n_r) @ into_z @ from_z
         return v.swapaxes(1, 2) + correction.reshape(size, count, n_r, n_r)
 
-    def solve_stationarity(self, rows: np.ndarray | None = None):
+    def condition(self, index: int) -> float:
+        """Estimate of ||K||_1 ||K^-1||_1, the 1-norm condition of realization ``index``'s K.
+
+        Hager's estimator (scipy's onenormest at t=1, which draws no random
+        numbers) on :meth:`apply` and :meth:`solve`, each its own adjoint.
+        """
+        from scipy.sparse.linalg import LinearOperator, onenormest
+        one = RelaySystem(self.problem.subset([index]), self.r[[index]])
+        n_r = self.w0.shape[-1]
+
+        def norm(operator):
+            def columns(x):  # each column a row-major flattened n_r x n_r matrix
+                return operator(x.T.reshape(1, -1, n_r, n_r)).reshape(-1, n_r * n_r).T.reshape(x.shape)
+            return onenormest(LinearOperator((n_r * n_r,) * 2, columns, columns, columns, complex, columns), t=1)
+
+        return float(norm(one.apply) * norm(one.solve))
+
+    def solve_stationarity(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The relay step K^-1 W_f0, and K^-1 applied to ``rows`` (R, k, n_r, n_r), in one solve.
 
-        Realizations whose step misses ||K(X) - W_f0|| <= 1e-10 ||W_f0|| are
-        solved again through the dense n_r^2 x n_r^2 Kronecker system by
-        solve_linear, which raises SingularSystemError when it is singular to
-        tolerance.  Returns the steps, the row solutions and the mask of
-        re-solved realizations, whose row solutions are not to be trusted.
+        A step that misses ||K(X) - W_f0|| <= 1e-10 ||W_f0|| is singular to
+        working tolerance if its :meth:`condition` exceeds ``CONDITION_LIMIT``,
+        else refined once, X -= K^-1 (K(X) - W_f0); :class:`SingularSystemError`
+        is raised if it is singular or still misses.  Returns (steps, rows).
         """
         w0 = self.w0
         if not np.all(w0.reshape(len(w0), -1).any(axis=1)):
             raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
         x = self.solve(w0[:, None] if rows is None else np.concatenate([w0[:, None], rows], axis=1))
-        raw = x[:, 0]
-        residual = np.linalg.norm(self.residual(raw), axis=(1, 2))
-        bad = ~(residual <= _SOLVE_RESIDUAL_LIMIT * np.maximum(np.linalg.norm(w0, axis=(1, 2)), 1e-300))
-        p, n_r = self.problem, w0.shape[-1]
-        for idx in np.nonzero(bad)[0]:
-            k = sum(kron(g.T, w) for g, w in zip(p.g[idx], self.w[idx])) + kron(p.gr[idx].T, self.c[idx] * np.eye(n_r))
-            raw[idx] = mat(solve_linear(k, vec(w0[idx])), n_r, n_r)
-        return raw, x[:, 1:], bad
+        raw, bound = x[:, 0], _SOLVE_RESIDUAL_LIMIT * np.linalg.norm(w0, axis=(1, 2))
+        residual = self.residual(raw)
+        miss = ~(np.linalg.norm(residual, axis=(1, 2)) <= bound)
+        if miss.any():
+            condition = max(self.condition(k) for k in np.nonzero(miss)[0])
+            if not condition <= CONDITION_LIMIT:
+                raise SingularSystemError(condition)
+            raw[miss] -= self.solve(residual[:, None])[miss, 0]
+            if not np.all(np.linalg.norm(self.residual(raw), axis=(1, 2)) <= bound):
+                raise SingularSystemError(condition, "residual target unreachable")
+        return raw, x[:, 1:]
 
 
 def _unit(f: np.ndarray) -> np.ndarray:
@@ -502,17 +530,15 @@ class _NewtonModel:
     (R, c), and reused by every step the model takes.  K^-1 is applied by
     the structured :meth:`RelaySystem.solve`, to the 4 n_s^2 rows of B
     together with W_f0 (the plain step), so the model also carries the plain
-    step ``raw`` and the mask ``resolved`` of realizations whose plain step
-    needed the dense fallback.  Directions along F_bar and
-    i F_bar, which leave J unchanged, are projected out of the low-rank part.
+    step ``raw``.  Directions along F_bar and i F_bar, which leave J
+    unchanged, are projected out of the low-rank part.
     Receive-side quantities are carried in the real coordinates of
     :func:`_receive_coords`, relay-side ones as row-major flattened
     n_r x n_r matrices.
     """
 
     def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
-        n_s, n_r = problem.cfg.n_s, f_bar.shape[-1]
-        size = len(f_bar)
+        size, n_r, n_s = len(f_bar), f_bar.shape[-1], problem.cfg.n_s
         self.system = system
         self.n_s = n_s
         c = problem.h @ f_bar[:, None]                    # C_l = H_rl F_bar
@@ -531,7 +557,7 @@ class _NewtonModel:
         b[..., 0, :, :] = o1 + o2 + dw.real * fg
         b[..., 1, :, :] = 1j * (o1 - o2) + dw.imag * fg
         b = b.reshape(size, -1, n_r, n_r)
-        self.raw, k_inv_b, self.resolved = system.solve_stationarity(b)
+        self.raw, k_inv_b = system.solve_stationarity(b)
 
         # Rows of K^-1 B without their K-orthogonal components along F_bar
         # and i F_bar.
@@ -559,10 +585,6 @@ class _NewtonModel:
         """Receive coordinates of B^T u for flattened relay directions u, (R, k, n_r^2)."""
         out = u @ self._t1 + np.conj(u) @ self._t2 + np.real(u @ self._gx) * self._nu_r
         return _receive_coords(out.reshape(*u.shape[:2], 2, self.n_s, self.n_s))
-
-    def apply_k_inv(self, x: np.ndarray) -> np.ndarray:
-        """K^-1 applied to a stack of n_r x n_r matrices."""
-        return self.system.solve(x[:, None])[:, 0]
 
     def steps(self, u: np.ndarray, choice: np.ndarray | None = None) -> np.ndarray:
         """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad, (R, n_r, n_r).
@@ -595,11 +617,9 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     """
     weights = np.minimum(sigma[:, None] * _SIGMA_FACTORS, 1.0)
     model = _NewtonModel(problem, RelaySystem(problem, r), f_bar, alpha, r, weights)
-    raw, resolved = model.raw, model.resolved
-    steps = model.steps(f_bar - raw)
-    candidates = np.concatenate([_unit(f_bar[:, None] + steps), _unit(raw)[:, None]], axis=1)
+    steps = model.steps(f_bar - model.raw)
+    candidates = np.concatenate([_unit(f_bar[:, None] + steps), _unit(model.raw)[:, None]], axis=1)
     c_alpha, c_r, values = problem.receive(candidates)
-    values[:, :-1][resolved] = np.inf
     values[~np.isfinite(values)] = np.inf
     # Values within rounding of the best count as ties and go to the most
     # Newton-like candidate, so the exit point does not hinge on rounding.
@@ -610,7 +630,7 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     plain = best == len(_SIGMA_FACTORS)
     weight = np.where(plain, 1.0, weights[rows, np.minimum(best, len(_SIGMA_FACTORS) - 1)])
     for _ in range(_CHORD_STEPS):
-        u = model.apply_k_inv(RelaySystem(problem, new_r).residual(new_f))
+        u = model.system.solve(RelaySystem(problem, new_r).residual(new_f)[:, None])[:, 0]
         trial = _unit(new_f + model.steps(u, best)[:, 0])
         t_alpha, t_r, t_j = problem.receive(trial)
         better = t_j <= new_j + slack

@@ -1,6 +1,7 @@
-"""Dense complex-matrix kernels shared by the beamforming and covariance code.
+"""Complex-matrix kernels and the singular-system policy (``CONDITION_LIMIT``).
 
-Conventions used throughout the package:
+The batched helpers serve the design; the dense kernels (``vec``/``mat``,
+``kron``, ``solve_linear``) serve tests and oracles only.  Conventions:
 
 * ``vec`` stacks columns (Fortran order), so ``vec(A X B) = (B^T kron A) vec(X)``.
 * Matrices are ``numpy.ndarray`` with dtype ``complex128``; all functions here
@@ -68,8 +69,8 @@ def mat(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices.
 
-    Broadcast-based; noticeably faster than numpy's generic kron at the small
-    sizes this package solves in its inner loop.
+    Broadcast-based; noticeably faster than numpy's generic kron at small
+    sizes.
     """
     a = np.asarray(a)
     b = np.asarray(b)

@@ -119,63 +119,38 @@ def simulate_signal_chain(
 
     ``channels[s]`` holds slot s (0..t) and ``solutions[s-1]`` the design of
     slot s (1..t); fresh symbols, noises and loopback-error realizations are
-    drawn per sample.  With ``memory`` unset or infinite the exact recursion
-    runs (residual SI accumulates through the true beamformer chain); with a
-    finite value the slot-t design model is sampled instead, where chains
-    deeper than the window reuse the oldest in-window beamformer and channels.
+    drawn per sample.  The residual SI of slot t-1 is built up by one pass per
+    slot s = 1..t-1, which reads slot k = max(s, t - memory): the relay input
+    y = (fresh input of slot k-1) + si leaves as si = D (y F_k), with a fresh
+    loopback error D.  With ``memory`` unset or infinite, k = s and this is
+    the exact recursion (residual SI accumulates through the true beamformer
+    chain); with a finite value it is the slot-t design model, where the
+    slots before the window repeat the oldest in-window beamformer and
+    channels.
     """
     t = len(solutions)
     if len(channels) != t + 1 or t < 1:
         raise ValueError("need channels for slots 0..t and solutions for slots 1..t")
-    memory = None if memory in (None, MEMORY_INFINITE) else int(check_memory(memory))
+    memory = MEMORY_INFINITE if memory is None else check_memory(memory)
 
     n = int(n_samples)
     n_s, n_r = cfg.n_s, cfg.n_r
     f = [sol.f for sol in solutions]  # f[s-1] applied in slot s
 
-    def fresh_relay_input(s, x1_s, x2_s):
-        noise = math.sqrt(cfg.sigma_n_sq_r) * crandn(rng, n, n_r)
-        return x1_s @ channels[s].h_1r.T + x2_s @ channels[s].h_2r.T + noise
-
-    if memory is None:
-        # Exact recursion from slot 0.
+    def fresh_relay_input(s):
         x1_s = _draw_symbols(rng, n, n_s, cfg.p1)
         x2_s = _draw_symbols(rng, n, n_s, cfg.p2)
-        y = fresh_relay_input(0, x1_s, x2_s)
-        si = np.zeros((n, n_r), dtype=complex)
-        for s in range(1, t):
-            x_r_s = y @ f[s - 1].T
-            si = _apply_error(rng, n, n_r, cfg.sigma_e_sq_r, x_r_s)
-            x1_s = _draw_symbols(rng, n, n_s, cfg.p1)
-            x2_s = _draw_symbols(rng, n, n_s, cfg.p2)
-            y = fresh_relay_input(s, x1_s, x2_s) + si
-        x1_prev, x2_prev = x1_s, x2_s
-    else:
-        # Design-model sampling for slot t: fresh slot-(t-1) content plus one
-        # model chain per depth, pinned beyond the memory window.
-        si = np.zeros((n, n_r), dtype=complex)
-        scale_e = math.sqrt(cfg.sigma_e_sq_r)
-        for depth in range(1, t):
-            content_slot = t - 1 - depth if depth <= memory else t - 1 - memory
-            u = fresh_relay_input(
-                content_slot,
-                _draw_symbols(rng, n, n_s, cfg.p1),
-                _draw_symbols(rng, n, n_s, cfg.p2),
-            )
-            w = u
-            for level in range(depth, 0, -1):
-                f_eff = f[t - level - 1] if level <= memory else f[t - memory - 1]
-                w = w @ f_eff.T
-                d = scale_e * crandn(rng, n, n_r, n_r)
-                w = np.einsum("nij,nj->ni", d, w)
-            si = si + w
-        x1_prev = _draw_symbols(rng, n, n_s, cfg.p1)
-        x2_prev = _draw_symbols(rng, n, n_s, cfg.p2)
-        y = fresh_relay_input(t - 1, x1_prev, x2_prev) + si
+        noise = math.sqrt(cfg.sigma_n_sq_r) * crandn(rng, n, n_r)
+        return x1_s, x2_s, x1_s @ channels[s].h_1r.T + x2_s @ channels[s].h_2r.T + noise
 
-    x_r_t = y @ f[t - 1].T
-    ch_t = channels[t]
-    ch_prev = channels[t - 1]
+    si = np.zeros((n, n_r), dtype=complex)
+    for s in range(1, t):
+        k = int(max(s, t - memory))
+        y = fresh_relay_input(k - 1)[2] + si
+        si = _apply_error(rng, n, n_r, cfg.sigma_e_sq_r, y @ f[k - 1].T)
+    x1_prev, x2_prev, y = fresh_relay_input(t - 1)
+    x_r_t = (y + si) @ f[t - 1].T
+    ch_t, ch_prev = channels[t], channels[t - 1]
     x1_t = _draw_symbols(rng, n, n_s, cfg.p1)
     x2_t = _draw_symbols(rng, n, n_s, cfg.p2)
 
