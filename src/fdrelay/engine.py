@@ -11,7 +11,8 @@ realizations 0..R-1 of a grid point and :func:`fdrelay.simulate.run_trajectory`
 one realization with its designs; both run the same loop, a
 :class:`_TrajectoryState`, and read its per-slot outputs.  The loop is
 resumable: the memory search advances one infinite-memory trajectory and
-forks it for each candidate memory (see :mod:`fdrelay.memory_select`).
+forks it for each candidate memory (see :mod:`fdrelay.memory_select`), and a
+memory-'auto' sweep cell resumes the winning fork.
 
 Each formula of a slot exists once, batched over realizations: the design,
 the true MSE and the Wiener receivers in :class:`fdrelay.beamforming.SlotProblem`
@@ -272,13 +273,25 @@ def run_trajectories_batch(
     slots: int,
     seed: int,
     realizations: int,
+    start: _TrajectoryState | None = None,
 ) -> BatchTrajectoryStats:
     """Realizations 0..``realizations``-1 of one (config, scheme) trajectory, vectorized.
 
     Each realization's results do not depend on how many run alongside it:
     channel draws are keyed by (seed, realization, slot) and every design
-    and metric is computed per realization.
+    and metric is computed per realization.  ``start``, a state of these
+    realizations already run with this config and scheme (the winning branch
+    of :func:`fdrelay.memory_select.select_memory`), is resumed instead of
+    starting from slot 1: a fork of it is advanced to ``slots``, so ``start``
+    itself is left as it was, and only the first ``slots`` slots are returned
+    when it already holds more.
     """
-    state = _run_trajectories(cfg, scheme, slots, seed, range(realizations))
-    rates = np.stack(state.rates)
-    return BatchTrajectoryStats(sum_mse=np.stack(state.sum_mse), sum_rate=rates[..., 0] + rates[..., 1])
+    if start is None:
+        state = _run_trajectories(cfg, scheme, slots, seed, range(realizations))
+    elif slots < 1 or start.seed != seed or len(start.realizations) != realizations:
+        raise ValueError(f"cannot resume {len(start.realizations)} realizations of seed {start.seed} "
+                         f"as {slots} slots of {realizations} realizations of seed {seed}")
+    else:
+        state = start.fork().advance(cfg, scheme, slots)
+    rates = np.stack(state.rates[:slots])
+    return BatchTrajectoryStats(sum_mse=np.stack(state.sum_mse[:slots]), sum_rate=rates[..., 0] + rates[..., 1])

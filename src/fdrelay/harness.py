@@ -142,16 +142,25 @@ def _mean_se(arr: np.ndarray) -> tuple[float, float]:
 
 
 def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -> list[SweepRecord]:
-    """All per-slot records of one (grid point, scheme) cell."""
+    """All per-slot records of one (grid point, scheme) cell.
+
+    A memory-'auto' cell runs at the memory the search selects.  The search
+    runs the proposed scheme, so a proposed cell resumes its winning branch,
+    which has already run slots 1..m_hat+2 at that memory; a relay_only cell
+    starts from slot 1.
+    """
     cfg = spec.config(snr_db, inr_db)
     m_hat = ""
+    resume = {}  # other cells keep the five-argument call
     if spec.memory == MEMORY_AUTO and scheme in _MEMORY_SCHEMES:
         selection = select_memory(cfg, seed=spec.seed, realizations=spec.realizations)
         cfg = cfg.with_memory(selection.m_hat)
         m_hat = str(selection.m_hat)
+        if scheme == "proposed":
+            resume = {"start": selection.branch}
 
     stats = run_trajectories_batch(
-        cfg, scheme, spec.slots, seed=spec.seed, realizations=spec.realizations
+        cfg, scheme, spec.slots, seed=spec.seed, realizations=spec.realizations, **resume
     )
 
     m_display = _memory_to_str(cfg.memory) if scheme in _MEMORY_SCHEMES else ""

@@ -16,12 +16,15 @@ Up to slot m+1 a memory-m design is the infinite-memory design (the window
 has not truncated anything yet), so the search runs one infinite-memory
 trajectory and branches off it one memory-m slot per candidate: M candidates
 cost 2M+1 slot designs instead of M(M+5)/2 for restarting every candidate.
+The winning branch is a memory-m̂ run of slots 1..m̂+2 and is handed back
+with the selection, so a T-slot cell at memory m̂ resumes it: T+m̂-1 slot
+designs per cell (2m̂+1 when T <= m̂+2) instead of 2m̂+1+T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .channel import MEMORY_INFINITE, SystemConfig
 from .engine import _TrajectoryState
@@ -46,8 +49,13 @@ class MemoryProbe:
 
 @dataclass(frozen=True)
 class MemorySelection:
+    """The selected memory, its probes, and the winning branch: the proposed
+    scheme's trajectories run at memory ``m_hat`` up to slot ``m_hat`` + 2,
+    which :func:`fdrelay.engine.run_trajectories_batch` can resume."""
+
     m_hat: int
     probes: tuple[MemoryProbe, ...]
+    branch: _TrajectoryState | None = field(default=None, compare=False, repr=False)
 
 
 def select_memory(
@@ -62,9 +70,10 @@ def select_memory(
     Runs the proposed scheme with infinite memory over ``realizations``
     paired realizations and, for each candidate i, branches off it at slot
     i+1 to run slot i+2 with memory i; this equals a run with memory i from
-    slot 1.  The averaged MSE at slots i+1 and i+2 are compared: the
-    candidate is unstable when the slot-(i+2) average falls more than
-    ``significance`` standard errors below the slot-(i+1) average.
+    slot 1 and is returned as the selection's ``branch`` when i wins.  The
+    averaged MSE at slots i+1 and i+2 are compared: the candidate is
+    unstable when the slot-(i+2) average falls more than ``significance``
+    standard errors below the slot-(i+1) average.
     Sensitivity therefore grows with the realization count; around a
     thousand realizations resolves drops of a fraction of a percent.  Raises
     :class:`NoStableMemoryError` once ``max_candidate`` probes fail (the raw
@@ -93,7 +102,7 @@ def select_memory(
             )
         )
         if stable:
-            return MemorySelection(m_hat=candidate, probes=tuple(probes))
+            return MemorySelection(m_hat=candidate, probes=tuple(probes), branch=branch)
     raise NoStableMemoryError(
         f"no stable memory in 1..{max_candidate} "
         f"(last averaged MSE pair {probes[-1].j_at_m_plus_1:.4g} -> {probes[-1].j_at_m_plus_2:.4g})"

@@ -135,3 +135,71 @@ def test_search_designs_each_slot_once(monkeypatch):
     selection = select_memory(cfg, seed=0, realizations=40)
     assert selection.m_hat >= 3
     assert len(calls) == 2 * selection.m_hat + 1
+
+
+def _auto_cell(scheme, slots):
+    # seed 0 selects m_hat = 3
+    return SweepSpec(snr_db=(-10.0,), inr_db=(0.0,), schemes=(scheme,), n_s=1, n_r=2, slots=slots,
+                     memory="auto", realizations=100, seed=0)
+
+
+@pytest.mark.parametrize("slots", [8, 2])
+def test_resumed_auto_cell_equals_a_fresh_run_exactly(slots):
+    # the proposed cell continues the search's winning branch; its numbers
+    # are those of a fresh run at m_hat to the last bit
+    records = run_grid_point(_auto_cell("proposed", slots), -10.0, 0.0, "proposed")
+    cfg = config_from_snr_inr(-10.0, 0.0, n_s=1, n_r=2).with_memory(3)
+    stats = run_trajectories_batch(cfg, "proposed", slots, seed=0, realizations=100)
+    assert [r.slot for r in records] == list(range(1, slots + 1))
+    assert {r.m_hat for r in records} == {"3"}
+    for record, mse, rate in zip(records, stats.sum_mse, stats.sum_rate):
+        assert record.mean_sum_mse == float(mse.mean())
+        assert record.se_sum_mse == float(mse.std(ddof=1) / math.sqrt(100))
+        assert record.mean_sum_rate == float(rate.mean())
+        assert record.se_sum_rate == float(rate.std(ddof=1) / math.sqrt(100))
+
+
+@pytest.mark.parametrize("slots", [8, 2])
+@pytest.mark.parametrize("scheme", ["proposed", "relay_only"])
+def test_auto_cell_designs_only_the_slots_the_search_did_not(monkeypatch, scheme, slots):
+    calls = []
+    real = engine.design_slot_batch
+
+    def counted(problem, pin_receive=False):
+        calls.append(pin_receive)
+        return real(problem, pin_receive)
+
+    monkeypatch.setattr(engine, "design_slot_batch", counted)
+    records = run_grid_point(_auto_cell(scheme, slots), -10.0, 0.0, scheme)
+    m_hat = 3
+    assert len(records) == slots
+    search = 2 * m_hat + 1
+    if scheme == "proposed":
+        assert len(calls) == search + max(0, slots - m_hat - 2)
+    else:
+        assert len(calls) == search + slots
+
+
+def test_resuming_leaves_the_selection_unchanged():
+    spec = _auto_cell("proposed", 8)
+    first = run_grid_point(spec, -10.0, 0.0, "proposed")
+    assert run_grid_point(spec, -10.0, 0.0, "proposed") == first
+
+    cfg = config_from_snr_inr(-10.0, 0.0, n_s=1, n_r=2)
+    selection = select_memory(cfg, seed=0, realizations=100)
+    assert selection.branch.slot == selection.m_hat + 2
+    cfg = cfg.with_memory(selection.m_hat)
+    runs = [run_trajectories_batch(cfg, "proposed", 8, seed=0, realizations=100, start=selection.branch)
+            for _ in range(2)]
+    assert selection.branch.slot == selection.m_hat + 2
+    for name in ("sum_mse", "sum_rate"):
+        assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+
+
+def test_resuming_other_realizations_raises():
+    cfg = config_from_snr_inr(0.0, -math.inf, n_s=1, n_r=2)
+    selection = select_memory(cfg, seed=0, realizations=5)
+    cfg = cfg.with_memory(selection.m_hat)
+    for seed, realizations in ((1, 5), (0, 4)):
+        with pytest.raises(ValueError):
+            run_trajectories_batch(cfg, "proposed", 4, seed=seed, realizations=realizations, start=selection.branch)
