@@ -562,7 +562,7 @@ class _NewtonModel:
         # Rows of K^-1 B without their K-orthogonal components along F_bar
         # and i F_bar.
         x = f_bar.reshape(size, -1)
-        kx = (system.residual(f_bar) + system.w0).reshape(size, -1)
+        kx = system.apply(f_bar[:, None])[:, 0].reshape(size, -1)
         kappa = (x.conj() * kx).sum(axis=1).real
         b = b.reshape(size, -1, n_r * n_r)
         along = (b @ x.conj()[..., None]) / kappa[:, None, None]

@@ -55,7 +55,7 @@ class MemorySelection:
 
     m_hat: int
     probes: tuple[MemoryProbe, ...]
-    branch: _TrajectoryState | None = field(default=None, compare=False, repr=False)
+    branch: _TrajectoryState = field(compare=False, repr=False)
 
 
 def select_memory(
