@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -227,12 +228,18 @@ def _receive_basis(n_s: int) -> np.ndarray:
     return np.stack([eye, 1j * eye], axis=1).reshape(-1, 2, n_s, n_s)
 
 
+def _replace_rows(stack, rows):
+    """``stack``, a dataclass of per-realization arrays (and possibly ``cfg``),
+    with each array field replaced by ``rows(name)``."""
+    return replace(stack, **{f.name: rows(f.name) for f in fields(stack) if f.name != "cfg"})
+
+
 @dataclass
 class BatchDesign:
     """Per-slot designs of a stack of realizations (leading axis).
 
-    ``j_trace`` has one row per iteration (row 0 is the projected identity
-    start); rows after a realization's exit are NaN.
+    ``j_trace`` has one column per iteration (column 0 is the projected
+    identity start); columns after a realization's exit are NaN.
     """
 
     f_bar: np.ndarray
@@ -255,8 +262,12 @@ class BatchDesign:
             r2=r[1],
             j_value=float(self.j[index]),
             iterations_used=used,
-            j_trace=tuple(float(v) for v in self.j_trace[: used + 1, index]),
+            j_trace=tuple(float(v) for v in self.j_trace[index, : used + 1]),
         )
+
+    def subset(self, keep) -> "BatchDesign":
+        """The designs of the realizations ``keep``."""
+        return _replace_rows(self, lambda name: getattr(self, name)[keep])
 
 
 @dataclass(eq=False)
@@ -264,14 +275,14 @@ class SlotProblem:
     """One slot's design problem for a stack of realizations.
 
     The fields after ``cfg`` are the per-realization inputs, realization axis
-    first.  Every other array is derived from them, so :meth:`subset`, which
-    restricts the fields and derives the rest again, cannot leave one at the
-    full batch.  Derived arrays carry, where the two receivers differ, a
-    receiver axis l (0: source 1, 1: source 2) second: ``h`` holds H_r1, H_r2
-    (n_s x n_r), ``h_bar`` the previous slot's inbound channel of the *other*
-    source (H_2r for source 1, H_1r for source 2), ``g`` the relay-input
-    covariances G_1, G_2 seen by each estimate and ``gr`` the one of the
-    transmit power.
+    first.  Every other array is derived from them, so :meth:`subset` and
+    :meth:`stack`, which restrict or concatenate the fields and derive the
+    rest again, cannot leave one at another batch.  Derived arrays carry,
+    where the two receivers differ, a receiver axis l (0: source 1,
+    1: source 2) second: ``h`` holds H_r1, H_r2 (n_s x n_r), ``h_bar`` the
+    previous slot's inbound channel of the *other* source (H_2r for source 1,
+    H_1r for source 2), ``g`` the relay-input covariances G_1, G_2 seen by
+    each estimate and ``gr`` the one of the transmit power.
     """
 
     cfg: SystemConfig
@@ -308,9 +319,14 @@ class SlotProblem:
         return cls(cfg, ch_t.h_r1[None], ch_t.h_r2[None], ch_prev.h_1r[None],
                    ch_prev.h_2r[None], np.array([g_c.scale]))
 
-    def subset(self, keep: np.ndarray) -> "SlotProblem":
+    @classmethod
+    def stack(cls, problems: Sequence["SlotProblem"]) -> "SlotProblem":
+        """Problems of one config stacked along the realization axis, in order."""
+        return _replace_rows(problems[0], lambda name: np.concatenate([getattr(p, name) for p in problems]))
+
+    def subset(self, keep) -> "SlotProblem":
         """The same problem restricted to the realizations ``keep``."""
-        return replace(self, **{f.name: getattr(self, f.name)[keep] for f in fields(self)[1:]})
+        return _replace_rows(self, lambda name: getattr(self, name)[keep])
 
     @cached_property
     def solve_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -669,8 +685,8 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     tol = cfg.convergence_tol
     r = np.broadcast_to(np.eye(n_s, dtype=complex), (size, 2, n_s, n_s)).copy()
     f_bar = np.broadcast_to(np.eye(n_r) / math.sqrt(n_r), (size, n_r, n_r)).astype(complex)
-    j_trace = np.full((cfg.max_iterations + 1, size), np.nan)
-    j_trace[0] = problem.objective(f_bar, problem.amplification(f_bar), r)
+    j_trace = np.full((size, cfg.max_iterations + 1), np.nan)
+    j_trace[:, 0] = problem.objective(f_bar, problem.amplification(f_bar), r)
 
     f_bar = _unit(RelaySystem(problem, r).solve_stationarity()[0])
     if pin_receive:
@@ -678,15 +694,15 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
         alpha = problem.amplification(f_bar)
         j = problem.objective(f_bar, alpha, r)
         used = 1 if cfg.max_iterations == 1 else (2 if tol > 0 else cfg.max_iterations)
-        j_trace[1:used + 1] = j
+        j_trace[:, 1:used + 1] = j[:, None]
         return BatchDesign(f_bar, alpha, r, j, np.full(size, used), j_trace)
     alpha, r, j = problem.receive(f_bar)
-    j_trace[1] = j
+    j_trace[:, 1] = j
 
     out = BatchDesign(f_bar.copy(), alpha.copy(), r.copy(), j.copy(),
                       np.full(size, cfg.max_iterations), j_trace)
     active = np.arange(size)
-    done = np.abs(j - j_trace[0]) < tol * np.maximum(1.0, np.abs(j_trace[0]))
+    done = np.abs(j - j_trace[:, 0]) < tol * np.maximum(1.0, np.abs(j_trace[:, 0]))
     sigma = np.full(size, _SIGMA_START)
     for iteration in range(2, cfg.max_iterations + 1):
         if np.any(done):
@@ -702,7 +718,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
         j_before = j.copy()
         f_bar, alpha, r, j, sigma = _accelerated_iteration(problem, f_bar, alpha, r, j, sigma)
         done = np.abs(j - j_before) < tol * np.maximum(1.0, np.abs(j_before))
-        out.j_trace[iteration, active] = j
+        out.j_trace[active, iteration] = j
 
     out.f_bar[active], out.alpha[active], out.r[active], out.j[active] = f_bar, alpha, r, j
     return out

@@ -119,15 +119,6 @@ class TimeSlotChannels:
     delta_rr: np.ndarray  # loopback error at relay, N_r x N_r
     slot_index: int = 0
 
-    def zero_error_copy(self) -> "TimeSlotChannels":
-        """Same inter-node channels with loopback errors forced to zero."""
-        return replace(
-            self,
-            delta_11=np.zeros_like(self.delta_11),
-            delta_22=np.zeros_like(self.delta_22),
-            delta_rr=np.zeros_like(self.delta_rr),
-        )
-
     @classmethod
     def stack(cls, draws: Sequence["TimeSlotChannels"]) -> "TimeSlotChannels":
         """Draws of one slot stacked along a leading realization axis."""

@@ -2,11 +2,17 @@
 
 One trajectory is one channel realization followed over ``slots`` time slots:
 slot 0 carries only the sources' first transmissions (the relay is silent),
-full-duplex operation starts in slot 1.  In each slot the residual-SI
-covariance is built from every earlier beamformer, the slot is designed with
-:func:`fdrelay.beamforming.design_slot_batch` and then scored.  Every step is
-batched over a stack of realizations, which removes the Python-call overhead
-that dominates at these matrix sizes.  :func:`run_trajectories_batch` runs
+full-duplex operation starts in slot 1.  Each slot is designed with
+:func:`fdrelay.beamforming.design_slot_batch`, then scored and rolled forward
+in slot order.  The proposed and relay-only designs read the residual-SI
+covariance built from every earlier beamformer, so they are designed one slot
+at a time; the conventional and half-duplex designs read only the draws of
+their slot and the one before, so several of their slots are designed in one
+call, stacked with the realizations (at most ``_STACK_ROWS`` = 32 rows; one
+slot per call from 32 realizations on).  Every step is batched over a stack
+of realizations, which removes the Python-call overhead that dominates at
+these matrix sizes; each row is computed on its own, so the results do not
+depend on what is stacked alongside it.  :func:`run_trajectories_batch` runs
 realizations 0..R-1 of a grid point and :func:`fdrelay.simulate.run_trajectory`
 one realization with its designs; both run the same loop, a
 :class:`_TrajectoryState`, and read its per-slot outputs.  The loop is
@@ -68,6 +74,12 @@ __all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
 
 SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 
+# Slot-realizations per stacked design call (see _TrajectoryState.advance).
+# At n_r = 5 a design iteration costs about 1 ms plus 0.2 ms per row, so 32
+# rows keep the fixed part near 13%, and their temporaries (60-80 KB per row)
+# near 2 MiB; from 32 realizations on, stacking slots saves nothing.
+_STACK_ROWS = 32
+
 
 @dataclass(frozen=True)
 class BatchTrajectoryStats:
@@ -109,21 +121,24 @@ def _relay_transmission(cfg: SystemConfig, ch_prev: TimeSlotChannels, core: np.n
     return f @ np.concatenate([math.sqrt(cfg.p1) * ch_prev.h_1r, math.sqrt(cfg.p2) * ch_prev.h_2r, core], axis=2)
 
 
-def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r) -> np.ndarray:
+def _batch_rates(problem: SlotProblem, delta_11, delta_22, core_factor, f_bar, alpha, r) -> np.ndarray:
     """Batched rates (R, 2) of the streams decoded at source 1 and source 2.
 
-    ``core_factor`` is the Gram factor of the relay-side interference.
+    The channels are those of the slot's design ``problem``, ``delta_11`` and
+    ``delta_22`` the sources' realized loopback errors and ``core_factor`` the
+    Gram factor of the relay-side interference.
     Covariances are carried as Gram factors N N^H and S S^H, and each rate
     log2 det(I + S S^H (N N^H)^-1) is computed in the whitened factor domain,
     from the singular values of (U_N^H S) / s_N, where N = U_N diag(s_N) V^H.
     That stays well conditioned when the amplified error chains grow
     geometrically, and is nonnegative by construction.
     """
+    cfg = problem.cfg
     inv_alpha = (1.0 / alpha)[:, None, None]
     rates = []
     for h_rl, h_other, delta_ll, p_own, p_other, sigma_n_sq, r_l in (
-        (ch_t.h_r1, ch_prev.h_2r, ch_t.delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, r[:, 0]),
-        (ch_t.h_r2, ch_prev.h_1r, ch_t.delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, r[:, 1]),
+        (problem.h_r1, problem.h_2r_prev, delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, r[:, 0]),
+        (problem.h_r2, problem.h_1r_prev, delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, r[:, 1]),
     ):
         rb = herm(r_l)
         noise_factor = np.concatenate(
@@ -144,21 +159,33 @@ def _batch_rates(cfg: SystemConfig, ch_t, ch_prev, core_factor, f_bar, alpha, r)
     return np.stack(rates, axis=1)
 
 
-def _half_duplex_slot(cfg: SystemConfig, ch_mac: TimeSlotChannels,
-                      ch_bc: TimeSlotChannels) -> tuple[BatchDesign, np.ndarray]:
-    """Two-phase two-way relaying reference on stacked draws: (design, rates (R, 2)).
+def _problem_without_si(cfg: SystemConfig, scheme: str, ch_t: TimeSlotChannels,
+                        ch_prev: TimeSlotChannels) -> SlotProblem:
+    """The design problem of a scheme whose design reads no carried state.
 
-    Both sources transmit in the first phase (``ch_mac`` inbound channels) and
-    the relay broadcasts in the second (``ch_bc`` outbound channels).  There is
-    no loopback self-interference, so the design is the single-slot MMSE
-    problem with all error variances zeroed; the rates carry the 1/2 prelog of
-    the two-slot exchange.
+    The conventional design models the residual SI as zero; the half-duplex
+    reference has no loopback error at all, so its problem is the
+    single-slot MMSE problem with every error variance zeroed.
     """
-    cfg_hd = cfg.without_loopback_error()
-    mac, bc = ch_mac.zero_error_copy(), ch_bc.zero_error_copy()
-    size = len(mac.h_1r)
-    design = design_slot_batch(_slot_problem(cfg_hd, bc, mac, np.zeros(size)))
-    rates = _batch_rates(cfg_hd, bc, mac, _noise_block(cfg_hd, size), design.f_bar, design.alpha, design.r)
+    if scheme == "half_duplex":
+        cfg = cfg.without_loopback_error()
+    return _slot_problem(cfg, ch_t, ch_prev, np.zeros(len(ch_t.h_r1)))
+
+
+def _half_duplex_slot(problem: SlotProblem) -> tuple[BatchDesign, np.ndarray]:
+    """Two-phase two-way relaying reference on stacked half-duplex problems: (design, rates (R, 2)).
+
+    Both sources transmit in the first phase (the problem's previous-slot
+    inbound channels) and the relay broadcasts in the second (its outbound
+    channels); ``problem`` comes from :func:`_problem_without_si`.  Without
+    loopback error the interference is fresh noise only, and the rates carry
+    the 1/2 prelog of the two-slot exchange.
+    """
+    cfg = problem.cfg
+    design = design_slot_batch(problem)
+    size = len(design.j)
+    no_error = np.zeros((size, cfg.n_s, cfg.n_s), dtype=complex)
+    rates = _batch_rates(problem, no_error, no_error, _noise_block(cfg, size), design.f_bar, design.alpha, design.r)
     return design, 0.5 * rates
 
 
@@ -204,18 +231,22 @@ class _TrajectoryState:
         """Run slots ``slot``+1..``until_slot`` of ``scheme`` under ``cfg``; returns self.
 
         ``cfg`` may differ between calls only in its memory setting: the
-        channel draws do not depend on it.
+        channel draws do not depend on it.  The slots to run are drawn
+        first; conventional and half-duplex slots are then designed in
+        stacked calls of ``max(1, _STACK_ROWS // R)`` slots, the others one
+        slot per call, and every slot is scored in slot order.
         """
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-        for t in range(self.slot + 1, until_slot + 1):
-            if len(self.channels) == t:
-                self.channels.append(_draw_stacked(cfg, self.seed, t, self.realizations))
-            if scheme == "half_duplex":
-                design, rates = _half_duplex_slot(cfg, self.channels[t - 1], self.channels[t])
-                self._record(design.j, rates, design)
-            else:
+        while len(self.channels) <= until_slot:
+            self.channels.append(_draw_stacked(cfg, self.seed, len(self.channels), self.realizations))
+        if scheme in ("proposed", "relay_only"):
+            for t in range(self.slot + 1, until_slot + 1):
                 self._step(cfg, scheme, t)
+            return self
+        chunk = max(1, _STACK_ROWS // len(self.realizations))
+        for first in range(self.slot + 1, until_slot + 1, chunk):
+            self._run_stacked(cfg, scheme, range(first, min(first + chunk, until_slot + 1)))
         return self
 
     def _record(self, sum_mse: np.ndarray, rates: np.ndarray, design: BatchDesign):
@@ -223,16 +254,33 @@ class _TrajectoryState:
         self.rates += (rates,)
         self.designs += (design,)
 
+    def _run_stacked(self, cfg: SystemConfig, scheme: str, slots: range):
+        """Design ``slots`` of the conventional or half-duplex scheme in one call, then score them in order."""
+        size = len(self.realizations)
+        problems = [_problem_without_si(cfg, scheme, self.channels[t], self.channels[t - 1]) for t in slots]
+        stacked = SlotProblem.stack(problems)
+        if scheme == "half_duplex":
+            design, rates = _half_duplex_slot(stacked)
+        else:
+            design = design_slot_batch(stacked)
+        for k, t in enumerate(slots):
+            rows = slice(k * size, (k + 1) * size)
+            slot_design = design.subset(rows)
+            if scheme == "half_duplex":
+                self._record(slot_design.j, rates[rows], slot_design)
+            else:
+                self._score(cfg, scheme, t, problems[k], slot_design)
+
     def _step(self, cfg: SystemConfig, scheme: str, t: int):
-        """Design, score and roll forward one full-duplex slot ``t``."""
+        """Design full-duplex slot ``t`` on the carried residual-SI scale, then score it."""
+        g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, len(self.realizations))
+        problem = _slot_problem(cfg, self.channels[t], self.channels[t - 1], g_design)
+        self._score(cfg, scheme, t, problem, design_slot_batch(problem, scheme == "relay_only"))
+
+    def _score(self, cfg: SystemConfig, scheme: str, t: int, problem: SlotProblem, design: BatchDesign):
+        """Score full-duplex slot ``t``, designed as ``design`` on ``problem``, and roll it forward."""
         ch_t, ch_prev = self.channels[t], self.channels[t - 1]
         size = len(self.realizations)
-        if scheme == "conventional":
-            g_design = np.zeros(size)
-        else:
-            g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, size)
-        problem = _slot_problem(cfg, ch_t, ch_prev, g_design)
-        design = design_slot_batch(problem, scheme == "relay_only")
         f_bar, alpha, r = design.f_bar, design.alpha, design.r
 
         # The memory window first truncates the design's scale at slot m+2;
@@ -252,7 +300,7 @@ class _TrajectoryState:
         f = alpha[:, None, None] * f_bar
 
         core = _relay_interference(cfg, ch_prev, self.x_r_factor)
-        rates = _batch_rates(cfg, ch_t, ch_prev, core, f_bar, alpha, r)
+        rates = _batch_rates(problem, ch_t.delta_11, ch_t.delta_22, core, f_bar, alpha, r)
         self._record(j_true, rates, replace(design, alpha=alpha, r=r))
         self.x_r_factor = _relay_transmission(cfg, ch_prev, core, f)
         self.f_norm_sq += (fro_sq(f),)

@@ -11,7 +11,6 @@ The batched helpers serve the design; the dense kernels (``vec``/``mat``,
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
 __all__ = [
     "SingularSystemError",
@@ -102,8 +101,11 @@ def solve_linear(k: np.ndarray, b: np.ndarray) -> np.ndarray:
     Guarantees ``||K x - b|| <= 1e-10 ||b||`` on success.  Raises
     :class:`SingularSystemError` when K is singular to tolerance (1-norm
     condition estimate above ``CONDITION_LIMIT``) or the residual target cannot
-    be met.
+    be met.  Imports scipy's LAPACK wrappers on first use, so that importing
+    the package does not load scipy.
     """
+    from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+
     k = np.asarray(k, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .beamforming import BeamformingSolution
 from .channel import SystemConfig, TimeSlotChannels
-from .engine import _batch_rates, _half_duplex_slot, _relay_interference, _relay_transmission
+from .engine import (_batch_rates, _half_duplex_slot, _problem_without_si, _relay_interference,
+                     _relay_transmission, _slot_problem)
 
 __all__ = [
     "SlotMetrics",
@@ -81,7 +82,8 @@ def achievable_sum_rate(
     for s in range(1, t):
         x_r_factor = _relay_transmission(cfg, stacks[s - 1], core, beamformers[s - 1])
         core = _relay_interference(cfg, stacks[s], x_r_factor)
-    rates = _batch_rates(cfg, stacks[t], stacks[t - 1], core, solution.f_bar[None],
+    problem = _slot_problem(cfg, stacks[t], stacks[t - 1], np.zeros(1))
+    rates = _batch_rates(problem, stacks[t].delta_11, stacks[t].delta_22, core, solution.f_bar[None],
                          np.array([solution.alpha]), np.stack([solution.r1, solution.r2])[None])
     return SlotMetrics.from_rates(channels[t].slot_index, scheme, solution.j_value, rates[0])
 
@@ -100,7 +102,8 @@ def half_duplex_reference(
     error variances zeroed; the sum rate carries the 1/2 prelog of the
     two-slot exchange.
     """
-    design, rates = _half_duplex_slot(cfg, TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc]))
+    mac, bc = TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc])
+    design, rates = _half_duplex_slot(_problem_without_si(cfg, "half_duplex", bc, mac))
     return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", design.j[0], rates[0])
 
 

@@ -411,7 +411,7 @@ def test_large_relay_design_avoids_the_kronecker_system(monkeypatch):
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"{elapsed:.2f} s for {design.iterations_used} iterations"
     for k in range(2):
-        trace = design.j_trace[: design.iterations_used[k] + 1, k]
+        trace = design.j_trace[k, : design.iterations_used[k] + 1]
         assert np.all(np.diff(trace) <= 1e-13 * np.maximum(1.0, trace[:-1]))
 
 

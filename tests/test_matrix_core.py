@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +133,13 @@ def test_chained_error_trace_requires_square_matching(rng):
         chained_error_trace_mean([np.eye(2), np.eye(3)], 1.0)
     with pytest.raises(ValueError):
         chained_error_trace_mean([np.eye(2)], 1.0)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy serves only solve_linear and the condition estimate, and is imported there;
+    # a fresh interpreter, since this one may already hold scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, fdrelay; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from fdrelay import engine
 from fdrelay.beamforming import (
     build_slot_operators,
     evaluate_sum_mse,
     solve_receive_beamformers,
 )
 from fdrelay.channel import config_from_snr_inr
-from fdrelay.engine import run_trajectories_batch
+from fdrelay.engine import _run_trajectories, run_trajectories_batch
+from fdrelay.matrix_core import SingularSystemError
 from fdrelay.metrics import achievable_sum_rate
 from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance
 from fdrelay.simulate import run_trajectory
@@ -107,6 +109,61 @@ def test_batched_engine_matches_reference(scheme, memory):
         rate_ref = np.array([m.sum_rate for m in reference.metrics])
         assert np.allclose(stats.sum_mse[:, r], mse_ref, rtol=1e-10, atol=1e-12)
         assert np.allclose(stats.sum_rate[:, r], rate_ref, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["conventional", "half_duplex"])
+@pytest.mark.parametrize("realizations, slots", [(1, 10), (5, 10), (40, 2)])
+def test_stacked_slot_designs_equal_one_slot_designs(monkeypatch, scheme, realizations, slots):
+    # these designs read no carried state, so the engine designs several slots in one call:
+    # 10 (R = 1), 6 then 4 (R = 5), one at a time (R = 40); every row must be the
+    # realization's own trajectory designed one slot per call, to the last bit
+    cfg = config_from_snr_inr(3.0, -2.0, n_s=2, n_r=3)
+    batch = run_trajectories_batch(cfg, scheme, slots, seed=11, realizations=realizations)
+    state = _run_trajectories(cfg, scheme, slots, 11, range(realizations))
+    monkeypatch.setattr(engine, "_STACK_ROWS", 1)
+    for r in range(realizations):
+        single = _run_trajectories(cfg, scheme, slots, 11, [r])
+        assert np.array_equal(batch.sum_mse[:, r], np.concatenate(single.sum_mse))
+        assert np.array_equal(batch.sum_rate[:, r], np.stack(single.rates).sum(axis=-1)[:, 0])
+        for k in range(slots):
+            assert np.array_equal(state.rates[k][r], single.rates[k][0])
+            for name in ("f_bar", "alpha", "r", "iterations_used", "j", "j_trace"):
+                assert np.array_equal(getattr(state.designs[k], name)[r], getattr(single.designs[k], name)[0],
+                                      equal_nan=True), (k, name)
+
+
+@pytest.mark.parametrize("scheme, realizations, calls", [
+    ("conventional", 1, 1), ("conventional", 40, 10), ("half_duplex", 5, 2), ("proposed", 1, 10),
+])
+def test_design_calls_per_ten_slot_trajectory(monkeypatch, scheme, realizations, calls):
+    # at most 32 slot-realizations per stacked call; the proposed design reads the
+    # scale carried from the slot before, so it takes one call per slot
+    counted = []
+    real = engine.design_slot_batch
+
+    def counting(problem, pin_receive=False):
+        counted.append(len(problem.h))
+        return real(problem, pin_receive)
+
+    monkeypatch.setattr(engine, "design_slot_batch", counting)
+    cfg = config_from_snr_inr(5.0, 0.0, n_s=1, n_r=2)
+    if realizations == 1:
+        run_trajectory(cfg, scheme, slots=10, seed=0)
+    else:
+        run_trajectories_batch(cfg, scheme, slots=10, seed=0, realizations=realizations)
+    assert len(counted) == calls
+    assert sum(counted) == 10 * realizations
+
+
+def test_stacked_conventional_designs_keep_the_singular_policy():
+    # at 50 dB the first relay step of some slots is singular to working tolerance; a
+    # stacked call raises as the one-slot calls did, and reports the worst slot's condition
+    cfg = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
+    for seed in (6, 12, 13, 15):
+        with pytest.raises(SingularSystemError) as info:
+            run_trajectory(cfg, "conventional", slots=4, seed=seed)
+        assert info.value.condition > 1e12
+    assert len(run_trajectory(cfg, "conventional", slots=4, seed=0).metrics) == 4
 
 
 def test_batched_engine_respects_convergence_tolerance():
