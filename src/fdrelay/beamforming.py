@@ -30,9 +30,9 @@ still 0.2-20% above its limit after 30 iterations.  The joint design
 realization) therefore takes the plain step only as its first iteration.
 Afterwards it keeps the receive matrices at their Wiener optimum and
 minimizes the resulting function of F_bar alone with damped Newton steps
-(see :class:`_NewtonModel`); a step is accepted only if it lowers the sum
-MSE (up to rounding), and the plain step is always among the candidates, so
-the objective trace stays non-increasing.
+(:class:`_NewtonModel`; each solves a 4 n_s^2 real system, never inverting
+it); a step is accepted only if it lowers the sum MSE (up to rounding), and
+the plain step is always among the candidates, so J never increases.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class SlotOperators:
     g2 = property(lambda self: self.problem.g[0, 1])
     gr = property(lambda self: self.problem.gr[0])
     w_f0 = property(lambda self: self.system.w0[0])
-    w_f1 = property(lambda self: self.system.w[0, 0])
-    w_f2 = property(lambda self: self.system.w[0, 1])
+    w_f1 = property(lambda self: herm(self.system.b[0, 0]) @ self.system.b[0, 0])
+    w_f2 = property(lambda self: herm(self.system.b[0, 1]) @ self.system.b[0, 1])
     w_f_scalar = property(lambda self: float(self.system.c[0] * self.problem.budget))
 
 
@@ -222,10 +222,13 @@ def _w_f(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (nu[:, None, None] * (r * r.conj()).real).sum(axis=(-3, -2, -1))
 
 
-def _receive_basis(n_s: int) -> np.ndarray:
-    """The unit receive-matrix pairs behind :func:`_receive_coords`, (4 n_s^2, 2, n_s, n_s)."""
-    eye = np.eye(2 * n_s * n_s).reshape(-1, 2, n_s, n_s)
-    return np.stack([eye, 1j * eye], axis=1).reshape(-1, 2, n_s, n_s)
+def _receive_hessian(a: np.ndarray) -> np.ndarray:
+    """blockdiag_l(A_l kron I) (R, 4 n_s^2, 4 n_s^2) in :func:`_receive_coords`: row (l, b, c, s) is A_l i^s E_bc."""
+    size, _, n_s, _ = a.shape
+    d = np.zeros((size, 2, n_s, n_s, 2, 2, n_s, n_s, 2))  # (R, l, b, c, s, l', a, c', s')
+    parts = np.stack([np.stack([a.real, a.imag], -1), np.stack([-a.imag, a.real], -1)], -2)  # (R, l, a, b, s, s')
+    np.einsum("rlbcslact->rlbsact", d)[...] = parts.transpose(0, 1, 3, 4, 2, 5)[..., None, :]  # view: l = l', c = c'
+    return d.reshape(size, 4 * n_s * n_s, -1)
 
 
 def _replace_rows(stack, rows):
@@ -308,7 +311,6 @@ class SlotProblem:
         self.nu = np.array(cfg.nu)
         self.nu_eye = self.nu[:, None, None] * np.eye(cfg.n_s)
         self.p_bar_h_bar_h = self.p_bar[:, None, None] * herm(self.h_bar)
-        self.receive_basis = _receive_basis(cfg.n_s)
         self.budget = n_r * cfg.pr
         self.j_max = cfg.n_s * (cfg.p1 + cfg.p2)
 
@@ -351,7 +353,6 @@ class SlotProblem:
     def amplification(self, f_bar: np.ndarray) -> np.ndarray:
         """alpha meeting the power budget tr(F G_r F^H) = n_r p_r."""
         gr = self._expand(self.gr, f_bar.ndim - 3)
-        # the same expression as the per-realization code, so both round alike
         return np.sqrt(self.budget / (f_bar @ gr @ herm(f_bar)).trace(axis1=-2, axis2=-1).real)
 
     def wiener(self, f: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,15 +425,9 @@ class RelaySystem:
         self.problem = problem
         self.r = r
         self.b = herm(r) @ problem.h                  # B_l, (R, 2, n_s, n_r)
-        self.w = herm(self.b) @ self.b                # W_l
-        self.w0 = problem._w_f0(self.b)
         self.c = _w_f(problem.nu, r) / problem.budget
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """K applied to ``x``, (R, count, n_r, n_r)."""
-        p = self.problem
-        return (self.w[:, None] @ x[:, :, None] @ p.g[:, None]).sum(axis=2) \
-            + self.c[:, None, None, None] * (x @ p.gr[:, None])
+    w0 = cached_property(lambda self: self.problem._w_f0(self.b))  # W_f0, (R, n_r, n_r); not needed for residual
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """K(X) - W_f0 for a stack of n_r x n_r matrices.
@@ -442,7 +437,14 @@ class RelaySystem:
         the envelope theorem; conjugate-gradient convention
         dJ = 2 Re tr(grad^H dF)).
         """
-        return self.apply(x[:, None])[:, 0] - self.w0
+        return self.apply(x[:, None], self.problem.p_bar_h_bar_h[:, None])[:, 0]
+
+    def apply(self, x: np.ndarray, target=0.0) -> np.ndarray:
+        """sum_l B_l^H (B_l X G_l - T_l) + c X G_r for X (R, count, n_r, n_r), never forming W_l:
+        K(X) at T = 0, K(X) - W_f0 at T_l = p_lbar H_lbar^H."""
+        p = self.problem
+        inner = self.b[:, None] @ x[:, :, None] @ p.g[:, None] - target
+        return (herm(self.b)[:, None] @ inner).sum(axis=2) + self.c[:, None, None, None] * (x @ p.gr[:, None])
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -455,7 +457,7 @@ class RelaySystem:
         """
         size, _, n_s, n_r = self.b.shape
         _, s_gr_inv, q = self.problem.solve_factors
-        m_inv = np.linalg.inv(self.w.sum(axis=1) + self.c[:, None, None] * np.eye(n_r))
+        m_inv = np.linalg.inv((herm(self.b) @ self.b).sum(axis=1) + self.c[:, None, None] * np.eye(n_r))
         bm = self.b @ m_inv[:, None]                      # B_k M^-1, (R, 2, n_s, n_r)
         coupling = bm.reshape(size, 2 * n_s, n_r) @ herm(self.b.reshape(size, 2 * n_s, n_r))
         # rows (k, a, i) and columns (l, b, j) of Z_k[a, i] and Z_l[b, j]
@@ -489,7 +491,7 @@ class RelaySystem:
         """
         from scipy.sparse.linalg import LinearOperator, onenormest
         one = RelaySystem(self.problem.subset([index]), self.r[[index]])
-        n_r = self.w0.shape[-1]
+        n_r = self.b.shape[-1]
 
         def norm(operator):
             def columns(x):  # each column a row-major flattened n_r x n_r matrix
@@ -542,13 +544,13 @@ class _NewtonModel:
     are taken for the blended Hessian (1 - sigma) H + sigma K: sigma = 1 is
     the plain alternation step, sigma = 0 the Newton step; the Woodbury
     identity reduces each to a 4 n_s^2 real system once K^-1 B is known.
-    Those systems are inverted once, for the candidate weights ``weights``
-    (R, c), and reused by every step the model takes.  K^-1 is applied by
-    the structured :meth:`RelaySystem.solve`, to the 4 n_s^2 rows of B
-    together with W_f0 (the plain step), so the model also carries the plain
-    step ``raw``.  Directions along F_bar and i F_bar, which leave J
-    unchanged, are projected out of the low-rank part.
-    Receive-side quantities are carried in the real coordinates of
+    The model keeps those systems, D - (1 - sigma) B^T K^-1 B for the
+    candidate weights ``weights`` (R, c), and solves them at each step.
+    K^-1 is applied by the structured :meth:`RelaySystem.solve`, to the
+    4 n_s^2 rows of B together with W_f0 (the plain step), so the model
+    also carries the plain step ``raw``.  Directions along F_bar and
+    i F_bar, which leave J unchanged, are projected out of the low-rank
+    part.  Receive-side quantities are carried in the real coordinates of
     :func:`_receive_coords`, relay-side ones as row-major flattened
     n_r x n_r matrices.
     """
@@ -559,6 +561,7 @@ class _NewtonModel:
         self.n_s = n_s
         c = problem.h @ f_bar[:, None]                    # C_l = H_rl F_bar
         cg = c @ problem.g                                # C_l G_l
+        a = cg @ herm(c) + alpha[:, None, None, None] ** -2 * problem.nu_eye   # A_l
         d1 = herm(r) @ cg - problem.p_bar_h_bar_h         # R_l^H C_l G_l - p_lbar H_lbar^H
         fgr = f_bar @ problem.gr
 
@@ -576,50 +579,40 @@ class _NewtonModel:
         self.raw, k_inv_b = system.solve_stationarity(b)
 
         # Rows of K^-1 B without their K-orthogonal components along F_bar
-        # and i F_bar.
+        # and i F_bar.  kappa = Re <F_bar, K(F_bar)> = sum_l Re tr(R_l^H A_l R_l), as
+        # c tr(F_bar G_r F_bar^H) = sum_l nu_l ||R_l||^2 / alpha^2 at the power budget.
         x = f_bar.reshape(size, -1)
-        kx = system.apply(f_bar[:, None])[:, 0].reshape(size, -1)
-        kappa = (x.conj() * kx).sum(axis=1).real
+        kappa = (np.conj(r) * (a @ r)).sum(axis=(1, 2, 3)).real
         b = b.reshape(size, -1, n_r * n_r)
         along = (b @ x.conj()[..., None]) / kappa[:, None, None]
         self.w = k_inv_b.reshape(b.shape) - along * x[:, None]
 
         # Receive-gradient change along relay directions U:
         # H U P1 + P2 U^H P3 + nu dg R, with dg = 2 Re tr(U G_r F^H) / (n_r p_r).
-        a = cg @ herm(c) + alpha[:, None, None, None] ** -2 * problem.nu_eye
         self._t1 = np.einsum("rlia,rljb->rablij", problem.h, np.conj(d1)).reshape(size, x.shape[-1], -1)
         self._t2 = np.einsum("rlia,rlbj->rbalij", cg, herm(system.b)).reshape(size, x.shape[-1], -1)
         self._gx = np.conj(fgr).reshape(size, -1, 1) * (2.0 / problem.budget)
         self._nu_r = (problem.nu[:, None, None] * r).reshape(size, 1, -1)
-        d = _receive_coords(np.einsum("rlab,klbc->rklac", a, problem.receive_basis))
         m = self._mixed(self.w)
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
         self.keep = 1.0 - weights
-        self.blend_inv = np.linalg.inv(d[:, None] - self.keep[..., None, None] * m[:, None])
+        self.blend = _receive_hessian(a)[:, None] - self.keep[..., None, None] * m[:, None]
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
         """Receive coordinates of B^T u for flattened relay directions u, (R, k, n_r^2)."""
         out = u @ self._t1 + np.conj(u) @ self._t2 + np.real(u @ self._gx) * self._nu_r
         return _receive_coords(out.reshape(*u.shape[:2], 2, self.n_s, self.n_s))
 
-    def steps(self, u: np.ndarray, choice: np.ndarray | None = None) -> np.ndarray:
-        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad, (R, n_r, n_r).
+    def steps(self, u: np.ndarray) -> np.ndarray:
+        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, n_r, n_r).
 
-        Returns (R, c, n_r, n_r), one step per candidate weight sigma; with
-        ``choice`` (R,), (R, 1, n_r, n_r) for candidate ``choice`` of each
-        realization, where choice c (one past the weights) means sigma = 1,
-        the plain alternation step.
+        Returns (R, c, n_r, n_r), one step per blend system ``blend`` (R, c)
+        of weight sigma = 1 - ``keep``; each system is solved for its one
+        right-hand side, never inverted.
         """
-        keep, blend_inv = self.keep, self.blend_inv
-        if choice is not None:
-            rows = np.arange(len(u))
-            plain = choice == keep.shape[1]
-            pick = np.where(plain, 0, choice)
-            keep = np.where(plain, 0.0, keep[rows, pick])[:, None]
-            blend_inv = blend_inv[rows, pick][:, None]
         u_vec = u.reshape(len(u), 1, -1)
-        v = (blend_inv @ self._mixed(u_vec)[..., None])[..., 0]
-        return -(u_vec + keep[..., None] * (v @ self.w)).reshape(*keep.shape, *u.shape[1:])
+        v = np.linalg.solve(self.blend, self._mixed(u_vec)[..., None])[..., 0]
+        return -(u_vec + self.keep[..., None] * (v @ self.w)).reshape(*self.keep.shape, *u.shape[1:])
 
 
 def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
@@ -644,10 +637,12 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     rows = np.arange(len(best))
     new_f, new_alpha, new_r, new_j = candidates[rows, best], c_alpha[rows, best], c_r[rows, best], values[rows, best]
     plain = best == len(_SIGMA_FACTORS)
-    weight = np.where(plain, 1.0, weights[rows, np.minimum(best, len(_SIGMA_FACTORS) - 1)])
+    pick = np.minimum(best, len(_SIGMA_FACTORS) - 1)
+    weight = np.where(plain, 1.0, weights[rows, pick])
+    model.keep, model.blend = (1.0 - weight)[:, None], model.blend[rows, pick][:, None]  # chords: the winner's only
     for _ in range(_CHORD_STEPS):
         u = model.system.solve(RelaySystem(problem, new_r).residual(new_f)[:, None])[:, 0]
-        trial = _unit(new_f + model.steps(u, best)[:, 0])
+        trial = _unit(new_f + model.steps(u)[:, 0])
         t_alpha, t_r, t_j = problem.receive(trial)
         better = t_j <= new_j + slack
         new_f[better], new_alpha[better], new_r[better], new_j[better] = \

@@ -67,7 +67,7 @@ import numpy as np
 
 from .beamforming import BatchDesign, SlotProblem, design_slot_batch
 from .channel import MEMORY_INFINITE, SystemConfig, TimeSlotChannels, draw_slot_channels, slot_rng
-from .matrix_core import fro_sq, herm
+from .matrix_core import SingularSystemError, fro_sq, herm
 from .si_propagation import content_trace, residual_si_scale
 
 __all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
@@ -75,9 +75,9 @@ __all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
 SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 
 # Slot-realizations per stacked design call (see _TrajectoryState.advance).
-# At n_r = 5 a design iteration costs about 1 ms plus 0.2 ms per row, so 32
-# rows keep the fixed part near 13%, and their temporaries (60-80 KB per row)
-# near 2 MiB; from 32 realizations on, stacking slots saves nothing.
+# At n_r = 5 a design iteration costs about 1.2 ms plus 0.17 ms per row, so
+# 32 rows keep the fixed part near 18%, and their temporaries (60-80 KB per
+# row) near 2 MiB; from 32 realizations on, stacking slots saves nothing.
 _STACK_ROWS = 32
 
 
@@ -260,9 +260,9 @@ class _TrajectoryState:
         problems = [_problem_without_si(cfg, scheme, self.channels[t], self.channels[t - 1]) for t in slots]
         stacked = SlotProblem.stack(problems)
         if scheme == "half_duplex":
-            design, rates = _half_duplex_slot(stacked)
+            design, rates = self._design(_half_duplex_slot, stacked, slots[0])
         else:
-            design = design_slot_batch(stacked)
+            design = self._design(design_slot_batch, stacked, slots[0])
         for k, t in enumerate(slots):
             rows = slice(k * size, (k + 1) * size)
             slot_design = design.subset(rows)
@@ -275,7 +275,22 @@ class _TrajectoryState:
         """Design full-duplex slot ``t`` on the carried residual-SI scale, then score it."""
         g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, len(self.realizations))
         problem = _slot_problem(cfg, self.channels[t], self.channels[t - 1], g_design)
-        self._score(cfg, scheme, t, problem, design_slot_batch(problem, scheme == "relay_only"))
+        self._score(cfg, scheme, t, problem, self._design(design_slot_batch, problem, t, scheme == "relay_only"))
+
+    def _design(self, design, problem: SlotProblem, first_slot: int, *args):
+        """``design(problem, *args)`` of rows (slot, realization), slot-major from ``first_slot``.  On a singular
+        relay step the rows are designed alone, in order; the first to fail raises with its slot and realization."""
+        try:
+            return design(problem, *args)
+        except SingularSystemError:
+            for row in range(len(problem.h)):
+                try:
+                    design(problem.subset([row]), *args)
+                except SingularSystemError as exc:
+                    slot, k = divmod(row, len(self.realizations))
+                    raise SingularSystemError(exc.condition, f"relay step of slot {first_slot + slot}, realization "
+                                              f"{self.realizations[k]}: {exc}") from exc
+            raise
 
     def _score(self, cfg: SystemConfig, scheme: str, t: int, problem: SlotProblem, design: BatchDesign):
         """Score full-duplex slot ``t``, designed as ``design`` on ``problem``, and roll it forward."""

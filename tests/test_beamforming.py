@@ -417,22 +417,29 @@ def test_large_relay_design_avoids_the_kronecker_system(monkeypatch):
 
 @pytest.mark.parametrize("n_s, seed, dense_j", [(1, 0, 1.581623340141114e-05), (2, 7, 6.751540306781934e-05)])
 def test_relay_steps_that_miss_the_residual_guard_are_refined(monkeypatch, n_s, seed, dense_j):
-    # At 50 dB some relay steps of these designs miss the 1e-10 residual
-    # guard at conditions below the limit: one refinement step finishes them
-    # without a dense system.  dense_j is the J of the same design with those
-    # steps re-solved through the dense Kronecker system instead.
+    # The first structured relay step of these 50 dB designs is perturbed by a
+    # relative 1e-9, so it misses the 1e-10 residual guard whatever the
+    # rounding: its condition estimate stays below the limit, and one
+    # refinement step finishes it without a dense system.  dense_j is the J of
+    # the same design with its missing steps re-solved through the dense
+    # Kronecker system instead.
     def dense_solve(*args):
         raise AssertionError("dense relay solve")
 
-    conditions = []
-    estimate = RelaySystem.condition
+    conditions, solves = [], []
+    estimate, solve = RelaySystem.condition, RelaySystem.solve
 
     def recording(system, index):
         conditions.append(estimate(system, index))
         return conditions[-1]
 
+    def perturbed_once(system, y):
+        solves.append(solve(system, y))
+        return solves[-1] * (1.0 + 1e-9) if len(solves) == 1 else solves[-1]
+
     monkeypatch.setattr(beamforming, "solve_linear", dense_solve, raising=False)
     monkeypatch.setattr(RelaySystem, "condition", recording)
+    monkeypatch.setattr(RelaySystem, "solve", perturbed_once)
     cfg = config_from_snr_inr(50.0, 10.0, n_s=n_s, n_r=8)
     ch1, ch0 = _instance(cfg, seed)
     sol = alternate_optimize(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), cfg)
@@ -482,3 +489,42 @@ def test_subset_equals_problem_built_from_the_subset_inputs(rng):
             assert all(np.array_equal(a, b) for a, b in zip(getattr(sub, name), value)), name
         else:
             assert getattr(sub, name) == value, name
+
+
+def _relative_error(value, reference):
+    return float(np.max(np.linalg.norm(value - reference, axis=(-2, -1)) / np.linalg.norm(reference, axis=(-2, -1))))
+
+
+@pytest.mark.parametrize("n_s", [1, 2])
+@pytest.mark.parametrize("size", [1, 7])
+def test_design_kernels_match_their_reference_formulas(n_s, size):
+    # The Newton model's kernels against the formulas they replace: the receive
+    # Hessian D through the unit receive pairs, K(X) - W_f0 through
+    # W_l = B_l^H B_l and W_f0, and the blend steps through inverted systems.
+    rng = np.random.default_rng(10 * n_s + size)
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=4)
+    problem, _ = _stacked_problem(cfg, 17, size, rng.uniform(0.0, 1.0, size))
+
+    z = crandn(rng, size, 2, n_s, n_s)
+    a = z @ _herm(z) + np.eye(n_s)
+    eye = np.eye(2 * n_s * n_s).reshape(-1, 2, n_s, n_s)
+    basis = np.stack([eye, 1j * eye], axis=1).reshape(-1, 2, n_s, n_s)
+    reference = beamforming._receive_coords(np.einsum("rlab,klbc->rklac", a, basis))
+    assert np.array_equal(beamforming._receive_hessian(a), reference)
+
+    f_bar = beamforming._unit(crandn(rng, size, cfg.n_r, cfg.n_r))
+    alpha, r, _ = problem.receive(f_bar)
+    system = RelaySystem(problem, r)
+    x = crandn(rng, size, cfg.n_r, cfg.n_r)
+    w = _herm(system.b) @ system.b
+    k_x = (w @ x[:, None] @ problem.g).sum(axis=1) + system.c[:, None, None] * (x @ problem.gr)
+    assert _relative_error(system.apply(x[:, None])[:, 0], k_x) <= 1e-12
+    assert _relative_error(system.residual(x), k_x - system.w0) <= 1e-12
+
+    weights = rng.uniform(0.01, 1.0, (size, 3))
+    model = beamforming._NewtonModel(problem, system, f_bar, alpha, r, weights)
+    u = crandn(rng, size, cfg.n_r, cfg.n_r)
+    u_vec = u.reshape(size, 1, -1)
+    v = (np.linalg.inv(model.blend) @ model._mixed(u_vec)[..., None])[..., 0]
+    steps = -(u_vec + model.keep[..., None] * (v @ model.w)).reshape(size, 3, cfg.n_r, cfg.n_r)
+    assert _relative_error(model.steps(u), steps) <= 1e-10
