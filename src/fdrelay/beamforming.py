@@ -20,7 +20,8 @@ solution:
 Both steps and the sum MSE exist once, batched over realizations, in
 :class:`SlotProblem` and :class:`RelaySystem`; the per-realization functions
 (:func:`build_slot_operators`, :func:`solve_relay_beamformer`, ...) call them
-with a batch of one.
+with a batch of one.  Per iteration, each kernel takes one product per
+realization (and receiver) over all its matrices, never one per matrix.
 
 Alternating the two steps never increases the sum MSE, because each solves
 its subproblem exactly and the receive update absorbs the scaling
@@ -208,22 +209,13 @@ def evaluate_sum_mse(
     return float(ops.problem.objective(f_bar[None], np.array([alpha]), np.stack([r1, r2])[None])[0])
 
 
-def _receive_coords(z: np.ndarray) -> np.ndarray:
-    """Real coordinates of receive-matrix pairs (..., 2, n_s, n_s).
-
-    Entry (l, i, j) of R_l contributes its real then its imaginary part; this
-    basis is orthonormal for the real inner product Re tr(A^H B).
-    """
-    return np.ascontiguousarray(z).reshape(z.shape[:-3] + (-1,)).view(np.float64)
-
-
 def _w_f(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Noise and source-loopback power sum_l nu_l ||R_l||_F^2 of receive pairs (..., 2, n_s, n_s)."""
     return (nu[:, None, None] * (r * r.conj()).real).sum(axis=(-3, -2, -1))
 
 
 def _receive_hessian(a: np.ndarray) -> np.ndarray:
-    """blockdiag_l(A_l kron I) (R, 4 n_s^2, 4 n_s^2) in :func:`_receive_coords`: row (l, b, c, s) is A_l i^s E_bc."""
+    """blockdiag_l(A_l kron I) (R, 4 n_s^2, 4 n_s^2) in receive coordinates: row (l, b, c, s) is A_l i^s E_bc."""
     size, _, n_s, _ = a.shape
     d = np.zeros((size, 2, n_s, n_s, 2, 2, n_s, n_s, 2))  # (R, l, b, c, s, l', a, c', s')
     parts = np.stack([np.stack([a.real, a.imag], -1), np.stack([-a.imag, a.real], -1)], -2)  # (R, l, a, b, s, s')
@@ -346,28 +338,32 @@ class SlotProblem:
         q = np.swapaxes(s_gr_inv @ s, -1, -2).reshape(-1, 2, cfg.n_s, 2, cfg.n_s)
         return gr_inv, s_gr_inv, q
 
-    def _expand(self, a: np.ndarray, extra: int) -> np.ndarray:
-        """``a`` with ``extra`` unit axes after the realization axis."""
-        return a.reshape(a.shape[:1] + (1,) * extra + a.shape[1:])
-
     def amplification(self, f_bar: np.ndarray) -> np.ndarray:
-        """alpha meeting the power budget tr(F G_r F^H) = n_r p_r."""
-        gr = self._expand(self.gr, f_bar.ndim - 3)
-        return np.sqrt(self.budget / (f_bar @ gr @ herm(f_bar)).trace(axis1=-2, axis2=-1).real)
+        """alpha meeting tr(F G_r F^H) = n_r p_r for ``f_bar`` (R, [k,] n_r, n_r): one G_r product per realization."""
+        fg = (f_bar.reshape(len(f_bar), -1, f_bar.shape[-1]) @ self.gr).reshape(f_bar.shape)
+        return np.sqrt(self.budget / (fg * f_bar.conj()).real.sum(axis=(-2, -1)))
 
     def wiener(self, f: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form receive matrices R_l = alpha p_lbar (C G_l C^H + nu_l I)^-1 C H_lbar.
 
         C = H_rl F is the source-l end-to-end forward channel.  Also returns
-        the right-hand sides p_lbar C H_lbar.  ``f`` may carry extra axes
-        after the realization axis.
+        the right-hand sides p_lbar C H_lbar.  ``f`` (R, [k,] n_r, n_r) may
+        carry a candidate axis.  H = [H_r1; H_r2] multiplies the candidates
+        side by side; C G_l C^H and C H_lbar are one product per receiver,
+        whose n_s x n_s diagonal blocks are read.
         """
-        extra = f.ndim - 3
-        h, g, h_bar = (self._expand(a, extra) for a in (self.h, self.g, self.h_bar))
-        c = h @ f[..., None, :, :]
-        a = c @ g @ herm(c) + self.nu_eye
-        b = self.p_bar[:, None, None] * (c @ h_bar)
-        return alpha[..., None, None, None] * np.linalg.solve(a, b), b
+        size, n_s, n_r = len(f), self.cfg.n_s, self.cfg.n_r
+        f_k = f.reshape(size, -1, n_r, n_r)                 # (R, k, n_r, n_r)
+        count = f_k.shape[1]
+        f_cat = f_k.swapaxes(1, 2).reshape(size, n_r, -1)   # [F_1 ... F_k]
+        c = (self.h.reshape(size, 2 * n_s, n_r) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
+        cgc = ((c @ self.g) @ herm(c)).reshape(size, 2, n_s, count, n_s, count)
+        a = np.einsum("rlikjk->rklij", cgc) + self.nu_eye
+        e = np.einsum("rlikj->rklij", (c @ self.h_bar).reshape(size, 2, n_s, count, n_s))
+        b = self.p_bar[:, None, None] * e
+        r = alpha.reshape(size, count, 1, 1, 1) * np.linalg.solve(a, b)
+        shape = f.shape[:-2] + (2, n_s, n_s)
+        return r.reshape(shape), b.reshape(shape)
 
     def receive(self, f_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(alpha, Wiener receive matrices, sum MSE) for unit-norm steering ``f_bar``.
@@ -437,14 +433,19 @@ class RelaySystem:
         the envelope theorem; conjugate-gradient convention
         dJ = 2 Re tr(grad^H dF)).
         """
-        return self.apply(x[:, None], self.problem.p_bar_h_bar_h[:, None])[:, 0]
+        return self.apply(x[:, None], self.problem.p_bar_h_bar_h[:, :, :, None])[:, 0]
 
     def apply(self, x: np.ndarray, target=0.0) -> np.ndarray:
         """sum_l B_l^H (B_l X G_l - T_l) + c X G_r for X (R, count, n_r, n_r), never forming W_l:
-        K(X) at T = 0, K(X) - W_f0 at T_l = p_lbar H_lbar^H."""
+        K(X) at T = 0, K(X) - W_f0 at T_l = p_lbar H_lbar^H, given as (R, 2, n_s, 1, n_r).
+        [B_1; B_2] multiplies the X side by side, and [B_1^H B_2^H] sums over l."""
         p = self.problem
-        inner = self.b[:, None] @ x[:, :, None] @ p.g[:, None] - target
-        return (herm(self.b)[:, None] @ inner).sum(axis=2) + self.c[:, None, None, None] * (x @ p.gr[:, None])
+        size, count, n_r, _ = x.shape
+        b = self.b.reshape(size, -1, n_r)                   # [B_1; B_2], (R, 2 n_s, n_r)
+        bx = (b @ x.swapaxes(1, 2).reshape(size, n_r, count * n_r)).reshape(size, 2, -1, n_r)
+        inner = (bx @ p.g).reshape(size, 2, -1, count, n_r) - target
+        out = (herm(b) @ inner.reshape(size, b.shape[1], -1)).reshape(size, n_r, count, n_r).swapaxes(1, 2)
+        return out + self.c[:, None, None, None] * (x.reshape(size, -1, n_r) @ p.gr).reshape(x.shape)
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -550,19 +551,19 @@ class _NewtonModel:
     4 n_s^2 rows of B together with W_f0 (the plain step), so the model
     also carries the plain step ``raw``.  Directions along F_bar and
     i F_bar, which leave J unchanged, are projected out of the low-rank
-    part.  Receive-side quantities are carried in the real coordinates of
-    :func:`_receive_coords`, relay-side ones as row-major flattened
-    n_r x n_r matrices.
+    part.  Receive-side quantities are carried in real coordinates (entry
+    (l, b, c) of R_l, real then imaginary part), relay-side ones as
+    row-major flattened n_r x n_r matrices.  The curvature B^T u is read
+    from the direction matrices B e_k as Re <B e_k, u>, in one product.
     """
 
     def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
         size, n_r, n_s = len(f_bar), f_bar.shape[-1], problem.cfg.n_s
         self.system = system
-        self.n_s = n_s
-        c = problem.h @ f_bar[:, None]                    # C_l = H_rl F_bar
+        c = (problem.h.reshape(size, 2 * n_s, n_r) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
         cg = c @ problem.g                                # C_l G_l
-        a = cg @ herm(c) + alpha[:, None, None, None] ** -2 * problem.nu_eye   # A_l
-        d1 = herm(r) @ cg - problem.p_bar_h_bar_h         # R_l^H C_l G_l - p_lbar H_lbar^H
+        a = np.einsum("rlij,rlmj->rlim", cg, c.conj()) + alpha[:, None, None, None] ** -2 * problem.nu_eye  # A_l
+        d1 = np.einsum("rlji,rljm->rlim", r.conj(), cg) - problem.p_bar_h_bar_h  # R_l^H C_l G_l - p_lbar H_lbar^H
         fgr = f_bar @ problem.gr
 
         # The matrices B e_k for the unit receive perturbations e_k: the
@@ -582,26 +583,22 @@ class _NewtonModel:
         # and i F_bar.  kappa = Re <F_bar, K(F_bar)> = sum_l Re tr(R_l^H A_l R_l), as
         # c tr(F_bar G_r F_bar^H) = sum_l nu_l ||R_l||^2 / alpha^2 at the power budget.
         x = f_bar.reshape(size, -1)
-        kappa = (np.conj(r) * (a @ r)).sum(axis=(1, 2, 3)).real
+        kappa = np.einsum("rlij,rlim,rlmj->r", r.conj(), a, r).real
         b = b.reshape(size, -1, n_r * n_r)
         along = (b @ x.conj()[..., None]) / kappa[:, None, None]
         self.w = k_inv_b.reshape(b.shape) - along * x[:, None]
 
-        # Receive-gradient change along relay directions U:
-        # H U P1 + P2 U^H P3 + nu dg R, with dg = 2 Re tr(U G_r F^H) / (n_r p_r).
-        self._t1 = np.einsum("rlia,rljb->rablij", problem.h, np.conj(d1)).reshape(size, x.shape[-1], -1)
-        self._t2 = np.einsum("rlia,rlbj->rbalij", cg, herm(system.b)).reshape(size, x.shape[-1], -1)
-        self._gx = np.conj(fgr).reshape(size, -1, 1) * (2.0 / problem.budget)
-        self._nu_r = (problem.nu[:, None, None] * r).reshape(size, 1, -1)
+        # B^T is read from the same directions: entry k of B^T u is Re <B e_k, u>,
+        # the real dot product of the interleaved real and imaginary parts.
+        self._b = b.view(np.float64).swapaxes(1, 2)         # (R, 2 n_r^2, 4 n_s^2)
         m = self._mixed(self.w)
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
         self.keep = 1.0 - weights
         self.blend = _receive_hessian(a)[:, None] - self.keep[..., None, None] * m[:, None]
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
-        """Receive coordinates of B^T u for flattened relay directions u, (R, k, n_r^2)."""
-        out = u @ self._t1 + np.conj(u) @ self._t2 + np.real(u @ self._gx) * self._nu_r
-        return _receive_coords(out.reshape(*u.shape[:2], 2, self.n_s, self.n_s))
+        """Receive coordinates of B^T u for flattened relay directions u (R, k, n_r^2): one real product."""
+        return np.ascontiguousarray(u).view(np.float64) @ self._b
 
     def steps(self, u: np.ndarray) -> np.ndarray:
         """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, n_r, n_r).

@@ -75,9 +75,9 @@ __all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
 SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 
 # Slot-realizations per stacked design call (see _TrajectoryState.advance).
-# At n_r = 5 a design iteration costs about 1.2 ms plus 0.17 ms per row, so
-# 32 rows keep the fixed part near 18%, and their temporaries (60-80 KB per
-# row) near 2 MiB; from 32 realizations on, stacking slots saves nothing.
+# At n_r = 5 a design iteration costs about 0.6 ms plus 0.07 ms per row (one
+# BLAS thread), so 32 rows keep the fixed part near 21%, and their temporaries
+# (55-70 KB per row) near 1.7 MiB; from 32 realizations on, stacking slots saves nothing.
 _STACK_ROWS = 32
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fdrelay import beamforming
 from fdrelay.beamforming import (
+    BatchDesign,
     DegenerateObjectiveError,
     RelaySystem,
     SlotProblem,
@@ -495,12 +497,56 @@ def _relative_error(value, reference):
     return float(np.max(np.linalg.norm(value - reference, axis=(-2, -1)) / np.linalg.norm(reference, axis=(-2, -1))))
 
 
+def _receive_coords(z):
+    """Real coordinates of receive-matrix pairs (..., 2, n_s, n_s): entry (l, i, j) of R_l, real then imaginary part."""
+    return np.ascontiguousarray(z).reshape(z.shape[:-3] + (-1,)).view(np.float64)
+
+
+def _expand(problem, name, f):
+    """A per-realization array of ``problem`` with unit axes for the candidate axes of ``f``."""
+    a = getattr(problem, name)
+    return a.reshape(a.shape[:1] + (1,) * (f.ndim - 3) + a.shape[1:])
+
+
+def _reference_amplification(problem, f_bar):
+    """alpha from tr(F_bar G_r F_bar^H) by one stacked product per (realization, candidate)."""
+    gr = _expand(problem, "gr", f_bar)
+    return np.sqrt(problem.budget / (f_bar @ gr @ _herm(f_bar)).trace(axis1=-2, axis2=-1).real)
+
+
+def _reference_wiener(problem, f, alpha):
+    """Wiener receive matrices and p_lbar C H_lbar by one product per (realization, candidate, receiver)."""
+    h, g, h_bar = (_expand(problem, name, f) for name in ("h", "g", "h_bar"))
+    c = h @ f[..., None, :, :]
+    b = problem.p_bar[:, None, None] * (c @ h_bar)
+    return alpha[..., None, None, None] * np.linalg.solve(c @ g @ _herm(c) + problem.nu_eye, b), b
+
+
+def _reference_mixed(problem, system, f_bar, r, u):
+    """B^T u through the tables of the receive-gradient change H U P1 + P2 U^H P3 + nu dg R."""
+    size, n_r, n_s = len(f_bar), problem.cfg.n_r, problem.cfg.n_s
+    cg = problem.h @ f_bar[:, None] @ problem.g
+    d1 = _herm(r) @ cg - problem.p_bar_h_bar_h
+    t1 = np.einsum("rlia,rljb->rablij", problem.h, np.conj(d1)).reshape(size, n_r * n_r, -1)
+    t2 = np.einsum("rlia,rlbj->rbalij", cg, _herm(system.b)).reshape(size, n_r * n_r, -1)
+    gx = np.conj(f_bar @ problem.gr).reshape(size, -1, 1) * (2.0 / problem.budget)
+    nu_r = (problem.nu[:, None, None] * r).reshape(size, 1, -1)
+    out = u @ t1 + np.conj(u) @ t2 + np.real(u @ gx) * nu_r
+    return _receive_coords(out.reshape(*u.shape[:2], 2, n_s, n_s))
+
+
+def _vector_error(value, reference):
+    return float(np.max(np.linalg.norm(value - reference, axis=-1) / np.linalg.norm(reference, axis=-1)))
+
+
 @pytest.mark.parametrize("n_s", [1, 2])
 @pytest.mark.parametrize("size", [1, 7])
 def test_design_kernels_match_their_reference_formulas(n_s, size):
-    # The Newton model's kernels against the formulas they replace: the receive
-    # Hessian D through the unit receive pairs, K(X) - W_f0 through
-    # W_l = B_l^H B_l and W_f0, and the blend steps through inverted systems.
+    # The design's kernels against the formulas they replace: the receive
+    # Hessian D through the unit receive pairs, the amplification and the
+    # Wiener receivers through one product per candidate and receiver,
+    # K(X) - W_f0 through W_l = B_l^H B_l and W_f0, B^T u through its
+    # einsum tables, and the blend steps through inverted systems.
     rng = np.random.default_rng(10 * n_s + size)
     cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=4)
     problem, _ = _stacked_problem(cfg, 17, size, rng.uniform(0.0, 1.0, size))
@@ -509,22 +555,51 @@ def test_design_kernels_match_their_reference_formulas(n_s, size):
     a = z @ _herm(z) + np.eye(n_s)
     eye = np.eye(2 * n_s * n_s).reshape(-1, 2, n_s, n_s)
     basis = np.stack([eye, 1j * eye], axis=1).reshape(-1, 2, n_s, n_s)
-    reference = beamforming._receive_coords(np.einsum("rlab,klbc->rklac", a, basis))
+    reference = _receive_coords(np.einsum("rlab,klbc->rklac", a, basis))
     assert np.array_equal(beamforming._receive_hessian(a), reference)
+
+    for shape in ((size,), (size, 4)):
+        f = beamforming._unit(crandn(rng, *shape, cfg.n_r, cfg.n_r))
+        alpha = problem.amplification(f)
+        assert alpha.shape == shape
+        assert np.max(np.abs(alpha / _reference_amplification(problem, f) - 1.0)) <= 1e-12
+        r, b = problem.wiener(alpha[..., None, None] * f, alpha)
+        r_ref, b_ref = _reference_wiener(problem, alpha[..., None, None] * f, alpha)
+        assert _relative_error(r, r_ref) <= 1e-12 and _relative_error(b, b_ref) <= 1e-12
+        _, r_received, j = problem.receive(f)
+        j_ref = problem.j_max - (b_ref.conj() * r_ref).sum(axis=(-3, -2, -1)).real / alpha
+        assert np.array_equal(r_received, r) and np.max(np.abs(j / j_ref - 1.0)) <= 1e-12
 
     f_bar = beamforming._unit(crandn(rng, size, cfg.n_r, cfg.n_r))
     alpha, r, _ = problem.receive(f_bar)
     system = RelaySystem(problem, r)
-    x = crandn(rng, size, cfg.n_r, cfg.n_r)
+    x = crandn(rng, size, 3, cfg.n_r, cfg.n_r)
     w = _herm(system.b) @ system.b
-    k_x = (w @ x[:, None] @ problem.g).sum(axis=1) + system.c[:, None, None] * (x @ problem.gr)
-    assert _relative_error(system.apply(x[:, None])[:, 0], k_x) <= 1e-12
-    assert _relative_error(system.residual(x), k_x - system.w0) <= 1e-12
+    k_x = (w[:, None] @ x[:, :, None] @ problem.g[:, None]).sum(axis=2) \
+        + system.c[:, None, None, None] * (x @ problem.gr[:, None])
+    assert _relative_error(system.apply(x), k_x) <= 1e-12
+    assert _relative_error(system.residual(x[:, 0]), k_x[:, 0] - system.w0) <= 1e-12
 
     weights = rng.uniform(0.01, 1.0, (size, 3))
     model = beamforming._NewtonModel(problem, system, f_bar, alpha, r, weights)
+    u_rows = crandn(rng, size, 5, cfg.n_r * cfg.n_r)
+    assert _vector_error(model._mixed(u_rows), _reference_mixed(problem, system, f_bar, r, u_rows)) <= 1e-12
     u = crandn(rng, size, cfg.n_r, cfg.n_r)
     u_vec = u.reshape(size, 1, -1)
     v = (np.linalg.inv(model.blend) @ model._mixed(u_vec)[..., None])[..., 0]
     steps = -(u_vec + model.keep[..., None] * (v @ model.w)).reshape(size, 3, cfg.n_r, cfg.n_r)
     assert _relative_error(model.steps(u), steps) <= 1e-10
+
+
+@pytest.mark.parametrize("n_s", [1, 2])
+@pytest.mark.parametrize("pin_receive", [False, True])
+def test_stacked_designs_equal_designs_alone(n_s, pin_receive):
+    # Rows do not interact: a stack of 7 realizations, each with its own
+    # residual-SI scale, designs each realization exactly as a stack of one.
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=5)
+    problem, _ = _stacked_problem(cfg, 23, 7, np.linspace(0.1, 1.3, 7))
+    stacked = design_slot_batch(problem, pin_receive)
+    for k in range(7):
+        alone = design_slot_batch(problem.subset([k]), pin_receive)
+        for name in (field.name for field in dataclasses.fields(BatchDesign)):
+            assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)[0], equal_nan=name == "j_trace"), (k, name)
