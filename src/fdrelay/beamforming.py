@@ -270,15 +270,18 @@ class SlotProblem:
     """One slot's design problem for a stack of realizations.
 
     The fields after ``cfg`` are the per-realization inputs, realization axis
-    first.  Every other array is derived from them, so :meth:`subset` and
-    :meth:`stack`, which restrict or concatenate the fields and derive the
-    rest again, cannot leave one at another batch.  Derived arrays carry,
+    first; every other array is derived from them.  :meth:`stack` derives them
+    again from the concatenated fields and :meth:`subset` slices them with the
+    fields, so neither leaves one at another batch.  Derived arrays carry,
     where the two receivers differ, a receiver axis l (0: source 1,
     1: source 2) second: ``h`` holds H_r1, H_r2 (n_s x n_r), ``h_bar`` the
     previous slot's inbound channel of the *other* source (H_2r for source 1,
     H_1r for source 2), ``g`` the relay-input covariances G_1, G_2 seen by
     each estimate and ``gr`` the one of the transmit power.
     """
+
+    # the inputs and derived arrays with a realization axis; subsets share the others
+    _ROWS = ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale", "h", "h_bar", "h_conj", "g", "gr", "p_bar_h_bar_h")
 
     cfg: SystemConfig
     h_r1: np.ndarray
@@ -316,11 +319,19 @@ class SlotProblem:
     @classmethod
     def stack(cls, problems: Sequence["SlotProblem"]) -> "SlotProblem":
         """Problems of one config stacked along the realization axis, in order."""
+        if len(problems) == 1:
+            return problems[0]
         return _replace_rows(problems[0], lambda name: np.concatenate([getattr(p, name) for p in problems]))
 
     def subset(self, keep) -> "SlotProblem":
-        """The same problem restricted to the realizations ``keep``."""
-        return _replace_rows(self, lambda name: getattr(self, name)[keep])
+        """The same problem restricted to the realizations ``keep``, by slicing: each array is
+        computed row by row, so its slice equals the one derived from the sliced inputs, bit for bit."""
+        rows = {name: getattr(self, name)[keep] for name in self._ROWS}
+        if "solve_factors" in vars(self):
+            rows["solve_factors"] = tuple(a[keep] for a in self.solve_factors)
+        sub = object.__new__(SlotProblem)
+        vars(sub).update(vars(self), **rows)
+        return sub
 
     @cached_property
     def solve_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,8 +4,8 @@ Channels follow independent frequency-flat Rayleigh fading: inter-node entries
 are CN(0, 1) and loopback estimation-error entries are CN(0, sigma_e^2), drawn
 independently per slot.  Reproducibility contract: the triple
 ``(seed, realization, slot)`` fully determines every matrix, via independent
-numpy SeedSequence sub-streams, so parallel and serial sweeps see identical
-draws and schemes can be compared on paired channels.
+numpy SeedSequence sub-streams, one per row of a stacked draw: parallel and
+serial sweeps see identical draws and schemes are compared on paired channels.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ _CHANNEL_ARRAYS = ("h_1r", "h_2r", "h_r1", "h_r2", "delta_11", "delta_22", "delt
 class TimeSlotChannels:
     """All channel and loopback-error realizations of one time slot.
 
-    The batched code holds a stack of realizations in one instance, each
-    array with a leading realization axis (see :meth:`stack`).
+    The batched code holds a stack of realizations in one instance, each array
+    with a leading realization axis (see :meth:`stack`, :func:`draw_slot_channels`).
     """
 
     h_1r: np.ndarray  # source 1 -> relay, N_r x N_s
@@ -175,27 +175,29 @@ def slot_rng(seed: int, realization: int, slot: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(realization), int(slot)])
 
 
-def draw_slot_channels(cfg: SystemConfig, rng: np.random.Generator, t: int) -> TimeSlotChannels:
-    """Draw all matrices of slot ``t`` from ``rng``.
+def draw_slot_channels(cfg: SystemConfig, rng: np.random.Generator | Sequence[np.random.Generator],
+                       t: int) -> TimeSlotChannels:
+    """Draw all matrices of slot ``t`` from ``rng``, a Generator or a sequence of them.
 
-    The loopback errors are drawn as unit-variance matrices scaled by sigma_e,
-    so configurations differing only in variances see identical underlying
-    noise shapes from the same stream (paired comparisons across SNR/INR).
+    Realization k of a stack is drawn from generator k; a single Generator
+    gives the stack of one without its leading axis.  Each generator fills its
+    row of normals in one call, read out as :func:`crandn` would draw h_1r,
+    h_2r, h_r1, h_r2, Delta_11, Delta_22 and Delta_rr in turn.  The loopback
+    errors are unit-variance matrices scaled by sigma_e, so configurations
+    differing only in variances see identical underlying noise shapes from
+    the same stream (paired comparisons across SNR/INR).
     """
-    h_1r = crandn(rng, cfg.n_r, cfg.n_s)
-    h_2r = crandn(rng, cfg.n_r, cfg.n_s)
-    h_r1 = crandn(rng, cfg.n_s, cfg.n_r)
-    h_r2 = crandn(rng, cfg.n_s, cfg.n_r)
-    delta_11 = np.sqrt(cfg.sigma_e_sq_1) * crandn(rng, cfg.n_s, cfg.n_s)
-    delta_22 = np.sqrt(cfg.sigma_e_sq_2) * crandn(rng, cfg.n_s, cfg.n_s)
-    delta_rr = np.sqrt(cfg.sigma_e_sq_r) * crandn(rng, cfg.n_r, cfg.n_r)
-    return TimeSlotChannels(
-        h_1r=h_1r,
-        h_2r=h_2r,
-        h_r1=h_r1,
-        h_r2=h_r2,
-        delta_11=delta_11,
-        delta_22=delta_22,
-        delta_rr=delta_rr,
-        slot_index=t,
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    shapes = [(cfg.n_r, cfg.n_s)] * 2 + [(cfg.n_s, cfg.n_r)] * 2 + [(cfg.n_s, cfg.n_s)] * 2 + [(cfg.n_r, cfg.n_r)]
+    sizes = [2 * a * b for a, b in shapes]
+    normals = np.empty((len(rngs), sum(sizes)))
+    for generator, row in zip(rngs, normals):
+        generator.standard_normal(out=row)
+    blocks = np.split(normals, np.cumsum(sizes)[:-1], axis=1)  # per matrix: real parts, then imaginary parts
+    h_1r, h_2r, h_r1, h_r2, d_11, d_22, d_rr = (
+        (x[:, 0] + 1j * x[:, 1]) * np.sqrt(0.5) for x in (b.reshape(-1, 2, *s) for b, s in zip(blocks, shapes))
     )
+    stack = TimeSlotChannels(h_1r, h_2r, h_r1, h_r2, np.sqrt(cfg.sigma_e_sq_1) * d_11,
+                             np.sqrt(cfg.sigma_e_sq_2) * d_22, np.sqrt(cfg.sigma_e_sq_r) * d_rr, t)
+    return stack.realization(0) if single else stack

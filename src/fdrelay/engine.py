@@ -90,9 +90,7 @@ class BatchTrajectoryStats:
 
 
 def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: Sequence[int]) -> TimeSlotChannels:
-    return TimeSlotChannels.stack(
-        [draw_slot_channels(cfg, slot_rng(seed, r, slot), slot) for r in realizations]
-    )
+    return draw_slot_channels(cfg, [slot_rng(seed, r, slot) for r in realizations], slot)
 
 
 def _slot_problem(cfg: SystemConfig, ch_t: TimeSlotChannels, ch_prev: TimeSlotChannels,

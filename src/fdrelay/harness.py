@@ -164,6 +164,7 @@ def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -
     )
 
     m_display = _memory_to_str(cfg.memory) if scheme in _MEMORY_SCHEMES else ""
+    config_hash = spec.config_hash()
     records = []
     for k in range(spec.slots):
         mean_mse, se_mse = _mean_se(stats.sum_mse[k])
@@ -182,7 +183,7 @@ def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -
                 n_realizations=spec.realizations,
                 m_hat=m_hat,
                 seed=spec.seed,
-                config_hash=spec.config_hash(),
+                config_hash=config_hash,
             )
         )
     return records

@@ -8,9 +8,12 @@ from fdrelay.channel import (
     MEMORY_INFINITE,
     SystemConfig,
     config_from_snr_inr,
+    crandn,
     draw_slot_channels,
     slot_rng,
 )
+
+_NAMES = ("h_1r", "h_2r", "h_r1", "h_r2", "delta_11", "delta_22", "delta_rr")
 
 
 def test_snr_inr_zero_db():
@@ -58,7 +61,7 @@ def test_identical_seeds_bitwise_identical():
     cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=3)
     a = draw_slot_channels(cfg, slot_rng(7, 3, 2), 2)
     b = draw_slot_channels(cfg, slot_rng(7, 3, 2), 2)
-    for name in ("h_1r", "h_2r", "h_r1", "h_r2", "delta_11", "delta_22", "delta_rr"):
+    for name in _NAMES:
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -97,3 +100,47 @@ def test_shapes_follow_config():
     assert ch.h_r1.shape == (2, 5)
     assert ch.delta_11.shape == (2, 2)
     assert ch.delta_rr.shape == (5, 5)
+
+
+def _crandn_draw(cfg, rng):
+    """The seven matrices drawn one crandn call each, in the stream's order."""
+    n_r, n_s = cfg.n_r, cfg.n_s
+    return [
+        crandn(rng, n_r, n_s), crandn(rng, n_r, n_s), crandn(rng, n_s, n_r), crandn(rng, n_s, n_r),
+        np.sqrt(cfg.sigma_e_sq_1) * crandn(rng, n_s, n_s),
+        np.sqrt(cfg.sigma_e_sq_2) * crandn(rng, n_s, n_s),
+        np.sqrt(cfg.sigma_e_sq_r) * crandn(rng, n_r, n_r),
+    ]
+
+
+@pytest.mark.parametrize("n_s", [1, 2])
+@pytest.mark.parametrize("n_r", [1, 5])
+@pytest.mark.parametrize("inr_db", [-math.inf, 0.0])
+def test_stacked_draw_equals_per_realization_draws(n_s, n_r, inr_db):
+    cfg = config_from_snr_inr(10.0, inr_db, n_s=n_s, n_r=n_r)
+    realizations = [0, 3, 1, 8]
+    stack = draw_slot_channels(cfg, [slot_rng(5, r, 2) for r in realizations], 2)
+    assert stack.slot_index == 2
+    for k, r in enumerate(realizations):
+        one = draw_slot_channels(cfg, slot_rng(5, r, 2), 2)
+        expected = _crandn_draw(cfg, slot_rng(5, r, 2))
+        for name, reference in zip(_NAMES, expected):
+            assert np.array_equal(getattr(stack, name)[k], getattr(one, name)), name
+            assert np.array_equal(getattr(one, name), reference), name
+
+
+def test_successive_draws_from_one_generator_consume_the_stream_in_order():
+    cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=3)
+    shared, reference = np.random.default_rng(11), np.random.default_rng(11)
+    for slot in (0, 1):
+        draw = draw_slot_channels(cfg, shared, slot)
+        for name, expected in zip(_NAMES, _crandn_draw(cfg, reference)):
+            assert np.array_equal(getattr(draw, name), expected), name
+    assert shared.standard_normal() == reference.standard_normal()
+
+
+def test_draw_values_are_pinned():
+    cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=3)
+    ch = draw_slot_channels(cfg, slot_rng(7, 3, 2), 2)
+    assert ch.h_1r[0, 0] == 0.6845107882213878 - 0.25086931083965447j
+    assert ch.delta_rr[-1, -1] == -0.33459756406267477 + 0.03628052162945366j
