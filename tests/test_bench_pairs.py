@@ -13,10 +13,10 @@ bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
 
-def _line(rate, mse=0.125, correct=True):
+def _line(rate, mse=0.125, correct=True, failed=0):
     metrics = {"norm_slot_realizations_per_s": {"value": rate, "unit": "1/s"},
                "final_sum_mse": {"value": mse, "unit": "1"}}
-    return json.dumps({"correct": correct, "attempted": 3, "failed": 0, "metrics": metrics})
+    return json.dumps({"correct": correct, "attempted": 3, "failed": failed, "metrics": metrics})
 
 
 def _output(*lines):
@@ -38,15 +38,16 @@ def test_summary_of_canned_pairs():
     assert summary["parent_iqr"] == pytest.approx(103.0 - 99.0)  # exclusive quartiles of the parent's runs
     assert summary["all_correct"]
     text = bench_pairs.report(summary)
-    assert "wins 4/5" in text and "final_sum_mse equal in 4/5 pairs" in text
+    assert "wins 4/5" in text and "final_sum_mse equal in 4/5 pairs" in text and "change 0;" in text
 
 
 def test_lower_is_better_and_failed_runs():
-    pairs = [(json.loads(_line(100.0)), json.loads(_line(90.0))),
+    pairs = [(json.loads(_line(100.0)), json.loads(_line(90.0, failed=2))),
              (json.loads(_line(100.0)), json.loads(_line(95.0, correct=False)))]
     summary = bench_pairs.summarize(pairs, "norm_slot_realizations_per_s", better="lower")
     assert summary["won"] == [True, True]
     assert summary["lead"] == 7.5
+    assert summary["failed"] == (0, 2)
     assert not summary["all_correct"]
 
 

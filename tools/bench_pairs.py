@@ -10,8 +10,8 @@ alike.  Each run's last line of standard output is its JSON summary.  For
 each end-to-end metric of the change's ``BENCHMARK.json``, the script prints
 per pair the values of both runs, whether the change won and whether
 ``final_sum_mse`` was bitwise equal; then the change's wins (ties count for
-neither side), both medians, the median lead and the parent's interquartile
-range.  A gain is claimed when the change wins at least 9 of 10 pairs and
+neither side), both medians, the median lead, the parent's interquartile
+range and each side's failed units.  A gain is claimed when the change wins at least 9 of 10 pairs and
 its median lead exceeds the parent's interquartile range.  Exit status 1
 when any run is not ``correct``.
 """
@@ -47,7 +47,7 @@ def summarize(pairs: list[tuple[dict, dict]], metric: str = "norm_slot_realizati
     the change's median minus the parent's, negated for "lower".  Quartiles
     are those of :func:`statistics.quantiles` (its default method).
     """
-    sign = 1.0 if better == "higher" else -1.0
+    sign = 1 if better == "higher" else -1
     values = [(_value(p, metric), _value(c, metric)) for p, c in pairs]
     parent = [p for p, _ in values]
     quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
@@ -59,8 +59,9 @@ def summarize(pairs: list[tuple[dict, dict]], metric: str = "norm_slot_realizati
         "mse_equal": [_value(p, "final_sum_mse") == _value(c, "final_sum_mse") for p, c in pairs],
         "median_parent": median_parent,
         "median_change": median_change,
-        "lead": sign * (median_change - median_parent),
+        "lead": (median_change - median_parent) if sign > 0 else (median_parent - median_change),
         "parent_iqr": quartiles[2] - quartiles[0],
+        "failed": tuple(sum(run.get("failed", 0) for run in side) for side in zip(*pairs)),
         "all_correct": all(p.get("correct") is True and c.get("correct") is True for p, c in pairs),
     }
 
@@ -74,6 +75,7 @@ def report(summary: dict) -> str:
     lines.append(f"wins {sum(summary['won'])}/{pairs}; median parent {summary['median_parent']:.6g}, "
                  f"change {summary['median_change']:.6g}; lead {summary['lead']:.6g} against parent IQR "
                  f"{summary['parent_iqr']:.6g}; final_sum_mse equal in {sum(summary['mse_equal'])}/{pairs} pairs; "
+                 f"failed units parent {summary['failed'][0]}, change {summary['failed'][1]}; "
                  f"all runs correct: {'yes' if summary['all_correct'] else 'NO'}")
     return "\n".join(lines)
 
