@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import time
 
 import numpy as np
@@ -473,55 +474,39 @@ def test_condition_estimate_matches_the_dense_condition(n_s, n_r):
                 assert 0.5 <= ratio <= 1.0 + 1e-9, (snr_db, k, ratio)
 
 
-def test_subset_equals_problem_built_from_the_subset_inputs(rng):
-    cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=4)
-    problem, _ = _stacked_problem(cfg, 21, 5, rng.uniform(0.0, 1.0, 5))
-    keep = np.array([True, False, True, True, False])
-    built = SlotProblem(cfg, problem.h_r1[keep], problem.h_r2[keep], problem.h_1r_prev[keep],
-                        problem.h_2r_prev[keep], problem.g_c_scale[keep])
-    problem.solve_factors  # computed on demand; the subset slices it
-    sub = problem.subset(keep)
-    for p in (sub, built):
-        p.solve_factors
-    assert vars(sub).keys() == vars(built).keys()
-    for name, value in vars(built).items():
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(getattr(sub, name), value), name
-        elif isinstance(value, tuple):
-            assert all(np.array_equal(a, b) for a, b in zip(getattr(sub, name), value)), name
-        else:
-            assert getattr(sub, name) == value, name
-
-
-
-@pytest.mark.parametrize("size, keep", [
-    (3, np.array([True, False, True])), (3, [2, 0]), (3, [1]),
-    (2, np.array([False, True])), (2, [1, 0]), (2, [0]),
-])
-@pytest.mark.parametrize("cached", [False, True])
-def test_subset_slices_bit_identically_and_shares_per_config_arrays(size, keep, cached):
-    # At size 2 the per-config p_bar, nu and nu_eye also lead with length 2,
+def test_subset_equals_problem_built_from_the_subset_inputs():
+    # At R = 2 the per-config p_bar, nu and nu_eye also lead with length 2,
     # so a subset that sliced every array would change their shapes.
-    cfg = config_from_snr_inr(20.0, 5.0, n_s=2, n_r=5)
-    problem, _ = _stacked_problem(cfg, 31, size, np.linspace(0.2, 0.9, size))
-    if cached:
-        problem.solve_factors
-    sub = problem.subset(keep)
-    built = SlotProblem(cfg, *(getattr(problem, name)[keep] for name in
-                               ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale")))
-    assert ("solve_factors" in vars(sub)) == cached
-    arrays = [name for name, value in vars(built).items() if isinstance(value, np.ndarray)]
-    assert {"p_bar", "nu", "nu_eye", "gr", "h_conj", "p_bar_h_bar_h"} <= set(arrays)
-    for name in arrays:
-        assert np.array_equal(getattr(sub, name), getattr(built, name)), name
-    assert all(np.array_equal(a, b) for a, b in zip(sub.solve_factors, built.solve_factors))
-    assert sub.budget == built.budget and sub.j_max == built.j_max
+    cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=4)
+    cases = [(5, np.array([True, False, True, True, False])),
+             (3, np.array([True, False, True])), (3, [2, 0]), (3, [1]),
+             (2, np.array([False, True])), (2, [1, 0]), (2, [0])]
+    for (size, keep), cached in itertools.product(cases, (False, True)):
+        problem, _ = _stacked_problem(cfg, 21, size, np.linspace(0.2, 0.9, size))
+        if cached:
+            problem.solve_factors  # computed on demand; the subset slices it
+        sub = problem.subset(keep)
+        built = SlotProblem(cfg, *(getattr(problem, name)[keep] for name in
+                                   ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale")))
+        assert ("solve_factors" in vars(sub)) == cached
+        for p in (sub, built):
+            p.solve_factors
+        assert vars(sub).keys() == vars(built).keys()
+        assert {"p_bar", "nu", "nu_eye", "gr", "h_conj", "p_bar_h_bar_h"} <= vars(built).keys()
+        for name, value in vars(built).items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(getattr(sub, name), value), (name, size, keep, cached)
+            elif isinstance(value, tuple):
+                assert all(np.array_equal(a, b) for a, b in zip(getattr(sub, name), value)), name
+            else:
+                assert getattr(sub, name) == value, name
 
 
 def test_stack_of_one_problem_is_that_problem():
     cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=3)
     problem, _ = _stacked_problem(cfg, 3, 2, [0.1, 0.4])
     assert SlotProblem.stack([problem]) is problem
+
 
 def _relative_error(value, reference):
     return float(np.max(np.linalg.norm(value - reference, axis=(-2, -1)) / np.linalg.norm(reference, axis=(-2, -1))))

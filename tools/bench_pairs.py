@@ -1,9 +1,8 @@
 """Run the benchmark on two checkouts in alternating pairs and summarize each end-to-end metric.
 
     python tools/bench_pairs.py --parent DIR --change DIR --workload W --pairs N --seed S --seconds T
-                                [--trace 0|1]
 
-Pair k runs ``perfbench/run.py --workload W --seed S+k --seconds T --trace 0|1``
+Pair k runs ``perfbench/run.py --workload W --seed S+k --seconds T --trace 0``
 in each checkout, one after the other: the parent first in even pairs, the
 change first in odd pairs, so drift on a shared host falls on both sides
 alike.  Each run's last line of standard output is its JSON summary.  For
@@ -82,7 +81,7 @@ def report(summary: dict) -> str:
 
 def _run(checkout: Path, args, seed: int) -> dict:
     command = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace)]
+               "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     return last_json(done.stdout)
 
@@ -95,7 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="seed of the first pair; pair k uses seed+k")
     parser.add_argument("--seconds", type=float, required=True, help="measured time per run")
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     with open(args.change / "BENCHMARK.json") as handle:
         end_to_end = json.load(handle)["end_to_end"]
