@@ -368,9 +368,11 @@ class SlotProblem:
         count = f_k.shape[1]
         f_cat = f_k.swapaxes(1, 2).reshape(size, n_r, -1)   # [F_1 ... F_k]
         c = (self.h.reshape(size, 2 * n_s, n_r) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
+        del f_cat
+        e = np.einsum("rlikj->rklij", (c @ self.h_bar).reshape(size, 2, n_s, count, n_s))
         cgc = ((c @ self.g) @ herm(c)).reshape(size, 2, n_s, count, n_s, count)
         a = np.einsum("rlikjk->rklij", cgc) + self.nu_eye
-        e = np.einsum("rlikj->rklij", (c @ self.h_bar).reshape(size, 2, n_s, count, n_s))
+        del c, cgc
         b = self.p_bar[:, None, None] * e
         r = alpha.reshape(size, count, 1, 1, 1) * np.linalg.solve(a, b)
         shape = f.shape[:-2] + (2, n_s, n_s)
@@ -486,14 +488,16 @@ class RelaySystem:
         """K^-1 applied to the right-hand sides ``y``, (R, count, n_r, n_r).
 
         Every product runs over the realization axis only: M^-1 multiplies
-        the right-hand sides side by side, G_r^-1 stacked.
+        the right-hand sides side by side, G_r^-1 stacked.  The Woodbury
+        correction is formed last and the rest is added into its buffer, so
+        besides ``y`` the solve holds at most two arrays of its size at a time.
         """
         size, count, n_r, _ = y.shape
         m_inv, into_z, from_z = self._factors
         v = m_inv @ y.swapaxes(1, 2).reshape(size, n_r, count * n_r)
         v = (v.reshape(size, n_r * count, n_r) @ self.problem.solve_factors[0]).reshape(size, n_r, count, n_r)
-        correction = y.reshape(size, count, n_r * n_r) @ into_z @ from_z
-        return v.swapaxes(1, 2) + correction.reshape(size, count, n_r, n_r)
+        x = (y.reshape(size, count, n_r * n_r) @ into_z @ from_z).reshape(size, count, n_r, n_r)
+        return np.add(x, v.swapaxes(1, 2), out=x)
 
     def condition(self, index: int) -> float:
         """Estimate of ||K||_1 ||K^-1||_1, the 1-norm condition of realization ``index``'s K.
@@ -512,18 +516,25 @@ class RelaySystem:
 
         return float(norm(one.apply) * norm(one.solve))
 
-    def solve_stationarity(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The relay step K^-1 W_f0, and K^-1 applied to ``rows`` (R, k, n_r, n_r), in one solve.
+    def solve_stationarity(self, rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The relay step K^-1 W_f0, and K^-1 applied to k further right-hand sides, in one solve.
 
-        A step that misses ||K(X) - W_f0|| <= 1e-10 ||W_f0|| is singular to
-        working tolerance if its :meth:`condition` exceeds ``CONDITION_LIMIT``,
-        else refined once, X -= K^-1 (K(X) - W_f0); :class:`SingularSystemError`
-        is raised if it is singular or still misses.  Returns (steps, rows).
+        ``rhs`` (R, 1 + k, n_r, n_r) holds the further right-hand sides after
+        a first entry that is overwritten with W_f0, so that they are solved
+        where they were built, never copied.  A step that misses
+        ||K(X) - W_f0|| <= 1e-10 ||W_f0|| is singular to working tolerance if
+        its :meth:`condition` exceeds ``CONDITION_LIMIT``, else refined once,
+        X -= K^-1 (K(X) - W_f0); :class:`SingularSystemError` is raised if it
+        is singular or still misses.  Returns (steps, K^-1 of the k others).
         """
         w0 = self.w0
         if not np.all(w0.reshape(len(w0), -1).any(axis=1)):
             raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
-        x = self.solve(w0[:, None] if rows is None else np.concatenate([w0[:, None], rows], axis=1))
+        if rhs is None:
+            rhs = w0[:, None]
+        else:
+            rhs[:, 0] = w0
+        x = self.solve(rhs)
         raw, bound = x[:, 0], _SOLVE_RESIDUAL_LIMIT * np.linalg.norm(w0, axis=(1, 2))
         residual = self.residual(raw)
         miss = ~(np.linalg.norm(residual, axis=(1, 2)) <= bound)
@@ -542,6 +553,32 @@ def _unit(f: np.ndarray) -> np.ndarray:
     return f / np.sqrt((f * f.conj()).real.sum(axis=(-2, -1), keepdims=True))
 
 
+def _newton_directions(problem: SlotProblem, system: RelaySystem, f_bar, alpha, r) -> tuple[np.ndarray, np.ndarray]:
+    """The receive Hessian blocks A_l = C_l G_l C_l^H + nu_l / alpha^2 I (C_l = H_rl F_bar) and the
+    right-hand sides of the model's relay solve (R, 1 + 4 n_s^2, n_r, n_r).
+
+    After an entry left for W_f0 (see :meth:`RelaySystem.solve_stationarity`)
+    they hold the matrices B e_k for the unit receive perturbations e_k: the
+    change of K(F_bar) - W_f0 when R_l moves along e_k, each a sum of outer
+    products laid out as [row, column] of the n_r x n_r matrix.  The outer
+    products are freed on return, before the solve.
+    """
+    size, n_r, n_s = len(f_bar), f_bar.shape[-1], problem.cfg.n_s
+    c = (problem.h.reshape(size, 2 * n_s, n_r) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
+    cg = c @ problem.g                                # C_l G_l
+    a = np.einsum("rlij,rlmj->rlim", cg, c.conj()) + alpha[:, None, None, None] ** -2 * problem.nu_eye  # A_l
+    d1 = np.einsum("rlji,rljm->rlim", r.conj(), cg) - problem.p_bar_h_bar_h  # R_l^H C_l G_l - p_lbar H_lbar^H
+    o1 = problem.h_conj * d1[:, :, None, :, None, :]
+    o2 = np.conj(system.b)[:, :, None, :, :, None] * cg[:, :, :, None, None, :]
+    fg = (f_bar @ problem.gr)[:, None, None, None] / problem.budget
+    dw = (2.0 * problem.nu[:, None, None] * r)[..., None, None]
+    rhs = np.empty((size, 1 + 4 * n_s * n_s, n_r, n_r), dtype=complex)
+    b = rhs[:, 1:].reshape(o1.shape[:4] + (2,) + o1.shape[4:])  # a view
+    b[..., 0, :, :] = o1 + o2 + dw.real * fg
+    b[..., 1, :, :] = 1j * (o1 - o2) + dw.imag * fg
+    return a, rhs
+
+
 class _NewtonModel:
     """Second-order model of the receive-eliminated sum MSE at one iterate.
 
@@ -557,7 +594,8 @@ class _NewtonModel:
     the plain alternation step, sigma = 0 the Newton step; the Woodbury
     identity reduces each to a 4 n_s^2 real system once K^-1 B is known.
     The model keeps those systems, D - (1 - sigma) B^T K^-1 B for the
-    candidate weights ``weights`` (R, c), and solves them at each step.
+    candidate weights ``weights`` (R, c), and solves them at each step;
+    :meth:`blended` builds them for other weights.
     K^-1 is applied by the structured :meth:`RelaySystem.solve`, to the
     4 n_s^2 rows of B together with W_f0 (the plain step), so the model
     also carries the plain step ``raw``.  Directions along F_bar and
@@ -569,43 +607,34 @@ class _NewtonModel:
     """
 
     def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
-        size, n_r, n_s = len(f_bar), f_bar.shape[-1], problem.cfg.n_s
+        size, n_r = len(f_bar), f_bar.shape[-1]
         self.system = system
-        c = (problem.h.reshape(size, 2 * n_s, n_r) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
-        cg = c @ problem.g                                # C_l G_l
-        a = np.einsum("rlij,rlmj->rlim", cg, c.conj()) + alpha[:, None, None, None] ** -2 * problem.nu_eye  # A_l
-        d1 = np.einsum("rlji,rljm->rlim", r.conj(), cg) - problem.p_bar_h_bar_h  # R_l^H C_l G_l - p_lbar H_lbar^H
-        fgr = f_bar @ problem.gr
-
-        # The matrices B e_k for the unit receive perturbations e_k: the
-        # change of K(F_bar) - W_f0 when R_l moves along e_k, each a sum of
-        # outer products laid out as [row, column] of the n_r x n_r matrix.
-        o1 = problem.h_conj * d1[:, :, None, :, None, :]
-        o2 = np.conj(system.b)[:, :, None, :, :, None] * cg[:, :, :, None, None, :]
-        fg = fgr[:, None, None, None] / problem.budget
-        dw = (2.0 * problem.nu[:, None, None] * r)[..., None, None]
-        b = np.empty(o1.shape[:4] + (2,) + o1.shape[4:], dtype=complex)
-        b[..., 0, :, :] = o1 + o2 + dw.real * fg
-        b[..., 1, :, :] = 1j * (o1 - o2) + dw.imag * fg
-        b = b.reshape(size, -1, n_r, n_r)
-        self.raw, k_inv_b = system.solve_stationarity(b)
+        a, rhs = _newton_directions(problem, system, f_bar, alpha, r)
+        self.raw, k_inv_b = system.solve_stationarity(rhs)
 
         # Rows of K^-1 B without their K-orthogonal components along F_bar
-        # and i F_bar.  kappa = Re <F_bar, K(F_bar)> = sum_l Re tr(R_l^H A_l R_l), as
+        # and i F_bar, projected in place.  kappa = Re <F_bar, K(F_bar)> = sum_l Re tr(R_l^H A_l R_l), as
         # c tr(F_bar G_r F_bar^H) = sum_l nu_l ||R_l||^2 / alpha^2 at the power budget.
         x = f_bar.reshape(size, -1)
         kappa = np.einsum("rlij,rlim,rlmj->r", r.conj(), a, r).real
-        b = b.reshape(size, -1, n_r * n_r)
+        b = rhs[:, 1:].reshape(size, -1, n_r * n_r)
         along = (b @ x.conj()[..., None]) / kappa[:, None, None]
-        self.w = k_inv_b.reshape(b.shape) - along * x[:, None]
+        self.w = k_inv_b.reshape(b.shape)
+        self.w -= along * x[:, None]
 
         # B^T is read from the same directions: entry k of B^T u is Re <B e_k, u>,
         # the real dot product of the interleaved real and imaginary parts.
         self._b = b.view(np.float64).swapaxes(1, 2)         # (R, 2 n_r^2, 4 n_s^2)
         m = self._mixed(self.w)
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
+        self._d, self._m = _receive_hessian(a), m
         self.keep = 1.0 - weights
-        self.blend = _receive_hessian(a)[:, None] - self.keep[..., None, None] * m[:, None]
+        self.blend = self.blended(self.keep)
+
+    def blended(self, keep: np.ndarray) -> np.ndarray:
+        """The blend systems D - ``keep`` B^T K^-1 B (R, c, 4 n_s^2, 4 n_s^2) for weights sigma = 1 - ``keep`` (R, c)."""
+        blend = keep[..., None, None] * self._m[:, None]
+        return np.subtract(self._d[:, None], blend, out=blend)
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
         """Receive coordinates of B^T u for flattened relay directions u (R, k, n_r^2): one real product."""
@@ -634,8 +663,9 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     """
     weights = np.minimum(sigma[:, None] * _SIGMA_FACTORS, 1.0)
     model = _NewtonModel(problem, RelaySystem(problem, r), f_bar, alpha, r, weights)
-    steps = model.steps(f_bar - model.raw)
-    candidates = np.concatenate([_unit(f_bar[:, None] + steps), _unit(model.raw)[:, None]], axis=1)
+    candidates = np.concatenate([_unit(f_bar[:, None] + model.steps(f_bar - model.raw)),
+                                 _unit(model.raw)[:, None]], axis=1)
+    model.blend = None  # the candidates' systems, freed before scoring; the winner's is built again below
     c_alpha, c_r, values = problem.receive(candidates)
     values[~np.isfinite(values)] = np.inf
     # Values within rounding of the best count as ties and go to the most
@@ -647,7 +677,8 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     plain = best == len(_SIGMA_FACTORS)
     pick = np.minimum(best, len(_SIGMA_FACTORS) - 1)
     weight = np.where(plain, 1.0, weights[rows, pick])
-    model.keep, model.blend = (1.0 - weight)[:, None], model.blend[rows, pick][:, None]  # chords: the winner's only
+    # chords: the winner's system only
+    model.keep, model.blend = (1.0 - weight)[:, None], model.blended(1.0 - weights[rows, pick][:, None])
     for _ in range(_CHORD_STEPS):
         u = model.system.solve(RelaySystem(problem, new_r).residual(new_f)[:, None])[:, 0]
         trial = _unit(new_f + model.steps(u)[:, 0])

@@ -106,13 +106,7 @@ def _spec_from_args(args) -> SweepSpec:
             for key, value in overrides.items():
                 if key not in values:
                     raise ValueError(f"unknown config key {key!r}")
-                if key in ("snr_db", "inr_db"):
-                    value = tuple(float(v) for v in value)
-                elif key == "schemes":
-                    value = tuple(value)
-                elif key == "memory":
-                    value = memory_from_str(str(value))
-                values[key] = value
+                values[key] = memory_from_str(str(value)) if key == "memory" else value
         return SweepSpec(**values)
     except (TypeError, ValueError) as exc:
         _usage_error(args, str(exc))

@@ -76,8 +76,9 @@ SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 
 # Slot-realizations per stacked design call (see _TrajectoryState.advance).
 # At n_r = 5 a design iteration costs about 0.6 ms plus 0.07 ms per row (one
-# BLAS thread), so 32 rows keep the fixed part near 21%, and their temporaries
-# (55-70 KB per row) near 1.7 MiB; from 32 realizations on, stacking slots saves nothing.
+# BLAS thread), so 32 rows keep the fixed part near 21%, and their working
+# memory (about 39 KiB per row, buffers reused in place) near 1.2 MiB; from 32
+# realizations on, stacking slots saves nothing.
 _STACK_ROWS = 32
 
 

@@ -64,8 +64,12 @@ class SweepSpec:
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
         object.__setattr__(self, "inr_db", tuple(float(v) for v in self.inr_db))
         object.__setattr__(self, "schemes", tuple(self.schemes))
-        if not self.snr_db or not self.inr_db:
-            raise ValueError("SNR and INR grids must be non-empty")
+        if not self.snr_db or not self.inr_db or not self.schemes:
+            raise ValueError("SNR grid, INR grid and scheme list must be non-empty")
+        for name in ("snr_db", "inr_db", "schemes"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} repeats a value: {values}")
         if self.realizations < 1 or self.slots < 1:
             raise ValueError("realizations and slots must be >= 1")
         self.config(self.snr_db[0], self.inr_db[0])

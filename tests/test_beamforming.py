@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,26 @@ def test_structured_relay_solve_matches_kronecker_solve(n_s, n_r):
             single = RelaySystem(problem.subset(np.array([k])), r[k:k + 1])
             assert np.array_equal(single.solve(rhs[k:k + 1])[0], x[k])
             assert np.array_equal(single.solve_stationarity()[0][0], step[k])
+
+
+@pytest.mark.parametrize("n_r, size, bound_kib", [(5, 40, 42.0), (16, 4, 400.0)])
+def test_design_working_memory_per_realization(n_r, size, bound_kib):
+    # The relay solve's right-hand sides, its result and the Newton directions
+    # are the largest arrays of an iteration; they are built and reused in
+    # place, so a design call holds about 38 KiB per realization at n_r = 5
+    # and 353 KiB at n_r = 16 (55 and 517 KiB when each was a fresh copy).
+    cfg = config_from_snr_inr(5.0, 10.0, n_s=2, n_r=n_r)
+    design_slot_batch(_stacked_problem(cfg, 31, size, np.full(size, 0.3))[0])  # warm-up
+    problem, _ = _stacked_problem(cfg, 31, size, np.full(size, 0.3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        design_slot_batch(problem)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / size / 1024 <= bound_kib
 
 
 def test_near_singular_relay_system_raises():

@@ -57,3 +57,24 @@ def test_output_without_a_summary_is_not_correct():
     assert run == {"correct": False}
     summary = bench_pairs.summarize([(run, json.loads(_line(1.0)))])
     assert not summary["all_correct"] and math.isnan(summary["values"][0][0])
+
+
+def test_all_workload_runs_are_summarized_per_workload():
+    # perfbench/run.py --workload all names each metric <workload>.<metric>
+    def line(rates, mses):
+        metrics = {}
+        for workload, rate, mse in zip(("paper_sweep", "large_relay"), rates, mses):
+            metrics[f"{workload}.norm_slot_realizations_per_s"] = {"value": rate, "unit": "1/s"}
+            metrics[f"{workload}.final_sum_mse"] = {"value": mse, "unit": "1"}
+        return bench_pairs.last_json(_output(json.dumps({"correct": True, "attempted": 6, "failed": 0,
+                                                         "metrics": metrics})))
+
+    pairs = [(line((100.0, 10.0), (0.5, 0.25)), line((110.0, 9.0), (0.5, 0.25))),
+             (line((102.0, 11.0), (0.5, 0.25)), line((101.0, 12.0), (0.5, 0.3)))]
+    sweep = bench_pairs.summarize(pairs, workload="paper_sweep")
+    relay = bench_pairs.summarize(pairs, workload="large_relay")
+    assert sweep["values"] == [(100.0, 110.0), (102.0, 101.0)] and sweep["won"] == [True, False]
+    assert relay["values"] == [(10.0, 9.0), (11.0, 12.0)] and relay["won"] == [False, True]
+    assert sweep["mse_equal"] == [True, True] and relay["mse_equal"] == [True, False]
+    assert "(large_relay norm_slot_realizations_per_s)" in bench_pairs.report(relay)
+    assert math.isnan(bench_pairs.summarize(pairs)["values"][0][0])  # no bare names in such a run

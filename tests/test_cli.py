@@ -140,10 +140,13 @@ def test_memory_flag_accepts_inf_and_auto(tmp_path):
 
 _BAD_VALUES = (["--memory", "0"], ["--scheme", "nope"], ["--realizations", "0"], ["--snr-db", ""],
                ["--iterations", "0"], ["--nr", "0"])
+# An empty scheme list and a repeated value; their cases follow all of the above, so those keep their ids.
+_EMPTY_OR_REPEATED = (["--scheme", ","], ["--snr-db", "0,0"])
 
 
 @pytest.mark.parametrize("command, bad", [
-    (command, bad) for command in ("sweep", "trajectory", "select-memory") for bad in _BAD_VALUES
+    (command, bad) for values in (_BAD_VALUES, _EMPTY_OR_REPEATED)
+    for command in ("sweep", "trajectory", "select-memory") for bad in values
     if command != "select-memory" or bad[0] not in ("--scheme", "--memory")  # flags select-memory lacks
 ])
 def test_bad_spec_value_is_a_usage_error(tmp_path, capsys, command, bad):

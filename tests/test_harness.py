@@ -31,6 +31,11 @@ def test_spec_validation():
         SweepSpec(snr_db=(0.0,), inr_db=(0.0,), realizations=0)
     with pytest.raises(ValueError):
         SweepSpec(snr_db=(0.0,), inr_db=(0.0,), schemes=("nope",))
+    # an empty scheme list, or a repeated grid value or scheme, would write no or duplicate records
+    for bad in (dict(schemes=()), dict(schemes=("proposed", "proposed")),
+                dict(snr_db=(0.0, 0.0)), dict(snr_db=(0.0, 5.0, -0.0)), dict(inr_db=(-math.inf, -math.inf))):
+        with pytest.raises(ValueError):
+            SweepSpec(**{"snr_db": (0.0,), "inr_db": (0.0,), **bad})
     for memory in (0, -3, 2.5, "never"):
         with pytest.raises(ValueError):
             SweepSpec(snr_db=(0.0,), inr_db=(0.0,), memory=memory)

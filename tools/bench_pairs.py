@@ -10,9 +10,11 @@ each end-to-end metric of the change's ``BENCHMARK.json``, the script prints
 per pair the values of both runs, whether the change won and whether
 ``final_sum_mse`` was bitwise equal; then the change's wins (ties count for
 neither side), both medians, the median lead, the parent's interquartile
-range and each side's failed units.  A gain is claimed when the change wins at least 9 of 10 pairs and
-its median lead exceeds the parent's interquartile range.  Exit status 1
-when any run is not ``correct``.
+range and each side's failed units.  With ``--workload all`` a run reports
+each metric as ``<workload>.<metric>``, and the script prints these tables
+once per workload of ``BENCHMARK.json``.  A gain is claimed when the change
+wins at least 9 of 10 pairs and its median lead exceeds the parent's
+interquartile range.  Exit status 1 when any run is not ``correct``.
 """
 
 from __future__ import annotations
@@ -34,28 +36,34 @@ def last_json(stdout: str) -> dict:
         return {"correct": False}
 
 
-def _value(run: dict, metric: str) -> float:
-    return run.get("metrics", {}).get(metric, {}).get("value", float("nan"))
+def _value(run: dict, metric: str, workload: str | None = None) -> float:
+    key = metric if workload is None else f"{workload}.{metric}"
+    return run.get("metrics", {}).get(key, {}).get("value", float("nan"))
 
 
 def summarize(pairs: list[tuple[dict, dict]], metric: str = "norm_slot_realizations_per_s",
-              better: str = "higher") -> dict:
+              better: str = "higher", workload: str | None = None) -> dict:
     """Summary of (parent, change) run summaries: per-pair values and wins, medians and the parent's IQR.
 
     ``better`` is the metric's direction, "higher" or "lower"; the lead is
     the change's median minus the parent's, negated for "lower".  Quartiles
     are those of :func:`statistics.quantiles` (its default method).
+    ``workload`` reads the metrics of that workload from a run of several,
+    where they are named ``<workload>.<metric>``; failed units are those of
+    the whole run.
     """
     sign = 1 if better == "higher" else -1
-    values = [(_value(p, metric), _value(c, metric)) for p, c in pairs]
+    values = [(_value(p, metric, workload), _value(c, metric, workload)) for p, c in pairs]
     parent = [p for p, _ in values]
     quartiles = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
     median_parent, median_change = statistics.median(parent), statistics.median(c for _, c in values)
     return {
+        "workload": workload,
         "metric": metric,
         "values": values,
         "won": [sign * (c - p) > 0 for p, c in values],
-        "mse_equal": [_value(p, "final_sum_mse") == _value(c, "final_sum_mse") for p, c in pairs],
+        "mse_equal": [_value(p, "final_sum_mse", workload) == _value(c, "final_sum_mse", workload)
+                      for p, c in pairs],
         "median_parent": median_parent,
         "median_change": median_change,
         "lead": (median_change - median_parent) if sign > 0 else (median_parent - median_change),
@@ -67,7 +75,8 @@ def summarize(pairs: list[tuple[dict, dict]], metric: str = "norm_slot_realizati
 
 def report(summary: dict) -> str:
     """The summary as text: one line per pair, then the totals."""
-    lines = [f"pair  parent  change  won  final_sum_mse equal   ({summary['metric']})"]
+    name = summary["metric"] if summary["workload"] is None else f"{summary['workload']} {summary['metric']}"
+    lines = [f"pair  parent  change  won  final_sum_mse equal   ({name})"]
     for k, ((p, c), won, equal) in enumerate(zip(summary["values"], summary["won"], summary["mse_equal"])):
         lines.append(f"{k:4d}  {p:.6g}  {c:.6g}  {'yes' if won else 'no':3s}  {'yes' if equal else 'NO'}")
     pairs = len(summary["values"])
@@ -96,7 +105,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True, help="measured time per run")
     args = parser.parse_args(argv)
     with open(args.change / "BENCHMARK.json") as handle:
-        end_to_end = json.load(handle)["end_to_end"]
+        catalogue = json.load(handle)
+    workloads = [w["name"] for w in catalogue["workloads"]] if args.workload == "all" else [None]
     checkouts, pairs = (args.parent, args.change), []
     for k in range(args.pairs):
         seed, runs = args.seed + k, [{}, {}]
@@ -104,7 +114,8 @@ def main(argv=None) -> int:
             runs[side] = _run(checkouts[side], args, seed)
         pairs.append(tuple(runs))
         print(f"pair {k} seed {seed}: correct {runs[0].get('correct')} / {runs[1].get('correct')}", flush=True)
-    summaries = [summarize(pairs, metric["name"], metric["better"]) for metric in end_to_end]
+    summaries = [summarize(pairs, metric["name"], metric["better"], workload)
+                 for workload in workloads for metric in catalogue["end_to_end"]]
     print("\n\n".join(report(summary) for summary in summaries))
     return 0 if summaries[0]["all_correct"] else 1
 
