@@ -9,13 +9,24 @@ solution:
       W_f1 Fb G_1 + W_f2 Fb G_2 + w_f / (n_r pr) * Fb G_r = W_f0
   is solved in its structured form (:class:`RelaySystem`: a Sylvester
   operator plus a rank-2 n_s^2 correction, inverted by the Woodbury
-  identity at O(n_r^3) per system, never as the n_r^2 x n_r^2 Kronecker
+  identity with one d x d inverse per system, never as a Kronecker
   system; a step that misses its residual check is singular when a
   condition estimate of the operator says so, and is otherwise refined
   once); the solution is renormalized to unit Frobenius norm with alpha
   restored from the transmit power constraint tr(F G_r F^H) = n_r pr (the
   physical F is invariant to that rescaling);
 * receive step: per-source regularized Wiener inverse.
+
+The sum MSE and the transmit power see F only through H_r1 F, H_r2 F and
+tr(F G_r F^H), so with n_r > 2 n_s relay antennas an optimum has the form
+F_bar = Q Y, where Q (n_r x 2 n_s) is an orthonormal basis of
+range([H_r1; H_r2]^H): the channel-aligned structure of the optimal AF MIMO
+relay (Rong, Tang and Hua, IEEE Trans. Signal Process. 57(12), 2009).  The
+design therefore carries the d x n_r matrix Y (d = 2 n_s) and forms
+F_bar = Q Y once, when :func:`design_slot_batch` returns; with
+n_r <= 2 n_s, d = n_r and Y is F_bar itself.  Restricted this way the relay
+operator keeps no directions in which only the noise term c X G_r acts, so
+its conditioning grows 10-fold per 10 dB of SNR instead of 100-fold.
 
 Both steps and the sum MSE exist once, batched over realizations, in
 :class:`SlotProblem` and :class:`RelaySystem`; the per-realization functions
@@ -92,7 +103,8 @@ class SlotOperators:
     source 2's estimate, and the transmit power; they do not depend on the
     receive matrices.  w_f0 is the desired-signal operator, w_f1/w_f2 the
     receive-side quadratic kernels, and w_f_scalar collects the noise and
-    source-loopback power picked up by the receive matrices.
+    source-loopback power picked up by the receive matrices.  They are in
+    full coordinates (n_r x n_r); ``system`` works in the design's.
     """
 
     problem: SlotProblem
@@ -101,9 +113,10 @@ class SlotOperators:
     g1 = property(lambda self: self.problem.g[0, 0])
     g2 = property(lambda self: self.problem.g[0, 1])
     gr = property(lambda self: self.problem.gr[0])
-    w_f0 = property(lambda self: self.system.w0[0])
-    w_f1 = property(lambda self: herm(self.system.b[0, 0]) @ self.system.b[0, 0])
-    w_f2 = property(lambda self: herm(self.system.b[0, 1]) @ self.system.b[0, 1])
+    b = property(lambda self: herm(self.system.r) @ self.problem.h)  # B_l in full coordinates, (1, 2, n_s, n_r)
+    w_f0 = property(lambda self: self.problem._w_f0(self.b)[0])
+    w_f1 = property(lambda self: herm(self.b[0, 0]) @ self.b[0, 0])
+    w_f2 = property(lambda self: herm(self.b[0, 1]) @ self.b[0, 1])
     w_f_scalar = property(lambda self: float(self.system.c[0] * self.problem.budget))
 
 
@@ -164,7 +177,7 @@ def solve_relay_beamformer(ops: SlotOperators, cfg: SystemConfig) -> RelaySoluti
     exactly zero (zero source power or zero receive matrices), since
     normalizing a zero steering matrix would hide a configuration error.
     """
-    raw = ops.system.solve_stationarity()[0][0]
+    raw = ops.problem.expand(ops.system.solve_stationarity()[0])[0]
     prenorm_scale = float(np.linalg.norm(raw))
     f_bar = raw / prenorm_scale
     alpha = float(ops.problem.amplification(f_bar[None])[0])
@@ -188,7 +201,7 @@ def solve_receive_beamformers(
     depend on alpha.
     """
     problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
-    r = problem.wiener(np.asarray(f)[None], np.array([alpha]))[0][0]
+    r = problem.wiener(problem.restrict(np.asarray(f)[None]), np.array([alpha]))[0][0]
     return r[0], r[1]
 
 
@@ -278,10 +291,21 @@ class SlotProblem:
     previous slot's inbound channel of the *other* source (H_2r for source 1,
     H_1r for source 2), ``g`` the relay-input covariances G_1, G_2 seen by
     each estimate and ``gr`` the one of the transmit power.
+
+    The design works in coordinates Y (d x n_r) of the steering matrix
+    F_bar = Q Y (see the module docstring): ``basis`` holds Q (n_r x 2 n_s),
+    from one reduced QR [H_r1; H_r2]^H = Q T, and ``h_out`` the outbound
+    channels H_rl Q (n_s x 2 n_s), the blocks of T^H.  With n_r <= 2 n_s,
+    ``basis`` is None and ``h_out`` is ``h``.  Householder Q spans
+    range([H_r1; H_r2]^H) also when the stack is rank-deficient.
+    :meth:`amplification`, :meth:`wiener` and :meth:`receive` take design
+    coordinates, :meth:`objective` full ones; :meth:`expand` and
+    :meth:`restrict` map between them.
     """
 
     # the inputs and derived arrays with a realization axis; subsets share the others
-    _ROWS = ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale", "h", "h_bar", "h_conj", "g", "gr", "p_bar_h_bar_h")
+    _ROWS = ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale", "h", "basis", "h_out", "h_bar", "h_conj",
+             "g", "gr", "p_bar_h_bar_h")
 
     cfg: SystemConfig
     h_r1: np.ndarray
@@ -295,8 +319,14 @@ class SlotProblem:
         n_r = cfg.n_r
         self.g_c_scale = np.asarray(self.g_c_scale)
         self.h = np.stack([self.h_r1, self.h_r2], axis=1)
+        size, d = len(self.h), 2 * cfg.n_s
+        if n_r > d:
+            self.basis, t = np.linalg.qr(herm(self.h.reshape(size, d, n_r)))
+            self.h_out = herm(t).reshape(size, 2, cfg.n_s, d)
+        else:
+            self.basis, self.h_out = None, self.h
         self.h_bar = np.stack([self.h_2r_prev, self.h_1r_prev], axis=1)
-        self.h_conj = np.conj(self.h)[:, :, :, None, :, None]
+        self.h_conj = np.conj(self.h_out)[:, :, :, None, :, None]
         hh1 = cfg.p1 * (self.h_1r_prev @ herm(self.h_1r_prev))
         hh2 = cfg.p2 * (self.h_2r_prev @ herm(self.h_2r_prev))
         base = (self.g_c_scale + cfg.sigma_n_sq_r)[:, None, None] * np.eye(n_r)
@@ -326,7 +356,7 @@ class SlotProblem:
     def subset(self, keep) -> "SlotProblem":
         """The same problem restricted to the realizations ``keep``, by slicing: each array is
         computed row by row, so its slice equals the one derived from the sliced inputs, bit for bit."""
-        rows = {name: getattr(self, name)[keep] for name in self._ROWS}
+        rows = {name: getattr(self, name)[keep] for name in self._ROWS if getattr(self, name) is not None}
         if "solve_factors" in vars(self):
             rows["solve_factors"] = tuple(a[keep] for a in self.solve_factors)
         sub = object.__new__(SlotProblem)
@@ -349,8 +379,17 @@ class SlotProblem:
         q = np.swapaxes(s_gr_inv @ s, -1, -2).reshape(-1, 2, cfg.n_s, 2, cfg.n_s)
         return gr_inv, s_gr_inv, q
 
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """Steering matrices F_bar = Q Y (R, n_r, n_r) of design coordinates ``y`` (R, d, n_r)."""
+        return y if self.basis is None else self.basis @ y
+
+    def restrict(self, f: np.ndarray) -> np.ndarray:
+        """Design coordinates Q^H F (R, d, n_r) of ``f`` (R, n_r, n_r); exact for H_rl F, as H_rl Q Q^H = H_rl."""
+        return f if self.basis is None else herm(self.basis) @ f
+
     def amplification(self, f_bar: np.ndarray) -> np.ndarray:
-        """alpha meeting tr(F G_r F^H) = n_r p_r for ``f_bar`` (R, [k,] n_r, n_r): one G_r product per realization."""
+        """alpha meeting tr(F G_r F^H) = n_r p_r for ``f_bar`` (R, [k,] n_r or d, n_r): one G_r product per
+        realization.  Q has orthonormal columns, so Y and Q Y give the same alpha."""
         fg = (f_bar.reshape(len(f_bar), -1, f_bar.shape[-1]) @ self.gr).reshape(f_bar.shape)
         return np.sqrt(self.budget / (fg * f_bar.conj()).real.sum(axis=(-2, -1)))
 
@@ -358,16 +397,17 @@ class SlotProblem:
         """Closed-form receive matrices R_l = alpha p_lbar (C G_l C^H + nu_l I)^-1 C H_lbar.
 
         C = H_rl F is the source-l end-to-end forward channel.  Also returns
-        the right-hand sides p_lbar C H_lbar.  ``f`` (R, [k,] n_r, n_r) may
-        carry a candidate axis.  H = [H_r1; H_r2] multiplies the candidates
-        side by side; C G_l C^H and C H_lbar are one product per receiver,
-        whose n_s x n_s diagonal blocks are read.
+        the right-hand sides p_lbar C H_lbar.  ``f`` (R, [k,] d, n_r), in
+        design coordinates, may carry a candidate axis.  [H_r1 Q; H_r2 Q]
+        multiplies the candidates side by side; C G_l C^H and C H_lbar are
+        one product per receiver, whose n_s x n_s diagonal blocks are read.
         """
         size, n_s, n_r = len(f), self.cfg.n_s, self.cfg.n_r
-        f_k = f.reshape(size, -1, n_r, n_r)                 # (R, k, n_r, n_r)
+        d = self.h_out.shape[-1]
+        f_k = f.reshape(size, -1, d, n_r)                   # (R, k, d, n_r)
         count = f_k.shape[1]
-        f_cat = f_k.swapaxes(1, 2).reshape(size, n_r, -1)   # [F_1 ... F_k]
-        c = (self.h.reshape(size, 2 * n_s, n_r) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
+        f_cat = f_k.swapaxes(1, 2).reshape(size, d, -1)     # [F_1 ... F_k]
+        c = (self.h_out.reshape(size, 2 * n_s, d) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
         del f_cat
         e = np.einsum("rlikj->rklij", (c @ self.h_bar).reshape(size, 2, n_s, count, n_s))
         cgc = ((c @ self.g) @ herm(c)).reshape(size, 2, n_s, count, n_s, count)
@@ -379,7 +419,7 @@ class SlotProblem:
         return r.reshape(shape), b.reshape(shape)
 
     def receive(self, f_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alpha, Wiener receive matrices, sum MSE) for unit-norm steering ``f_bar``.
+        """(alpha, Wiener receive matrices, sum MSE) for unit-norm steering ``f_bar`` in design coordinates.
 
         With the receive matrices at their optimum the sum MSE reduces to
         n_s (p1 + p2) - sum_l Re tr(b_l^H R_l) / alpha.
@@ -390,7 +430,7 @@ class SlotProblem:
         return alpha, r, j
 
     def objective(self, f_bar: np.ndarray, alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Analytic sum MSE of the design (f_bar, alpha, R_1, R_2)."""
+        """Analytic sum MSE of the design (f_bar, alpha, R_1, R_2), with ``f_bar`` (R, n_r, n_r) in full coordinates."""
         f = alpha[:, None, None] * f_bar
         b = herm(r) @ self.h
         cross = 2.0 * np.real(np.einsum("rij,rij->r", np.conj(self._w_f0(b)), f))
@@ -399,7 +439,7 @@ class SlotProblem:
         return self.j_max - cross / alpha + quad / alpha**2
 
     def _w_f0(self, b: np.ndarray) -> np.ndarray:
-        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl."""
+        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl (or Q^H of it from B_l Q)."""
         return (herm(b) @ self.p_bar_h_bar_h).sum(axis=1)
 
 
@@ -407,24 +447,28 @@ class RelaySystem:
     """Relay stationarity operator of a slot problem for fixed receive matrices, and its inverse.
 
     For receive matrices R_l, with B_l = R_l^H H_rl, W_l = B_l^H B_l and
-    c = w_f / (n_r p_r), the operator is K(X) = sum_l W_l X G_l + c X G_r and
-    the relay step solves K(F_bar) = W_f0, which minimizes the sum MSE over
-    an unnormalized F_bar.  Since G_l = G_r - S_l S_l^H
-    (S_1 = sqrt(p1) H_1r, S_2 = sqrt(p2) H_2r of the previous slot), with
-    M = W_1 + W_2 + c I
+    c = w_f / (n_r p_r), the full operator is K(F) = sum_l W_l F G_l + c F G_r
+    and the relay step solves K(F_bar) = W_f0, which minimizes the sum MSE
+    over an unnormalized F_bar.  It is solved in design coordinates
+    F_bar = Q Y (see :class:`SlotProblem`): Q^H K(Q Y) = Q^H W_f0, whose
+    solution is the full one, since (I - Q Q^H) K(F) = c (I - Q Q^H) F G_r
+    and W_f0 lies in range(Q).  Here ``b`` holds B_l Q (n_s x d) and the
+    operator, also written K, acts on d x n_r matrices.  Since
+    G_l = G_r - S_l S_l^H (S_1 = sqrt(p1) H_1r, S_2 = sqrt(p2) H_2r of the
+    previous slot), with A = sum_l (B_l Q)^H (B_l Q) + c I (d x d)
 
-        K(X) = M X G_r - sum_l B_l^H (B_l X S_l) S_l^H,
+        K(X) = A X G_r - sum_l (B_l Q)^H (B_l Q) X S_l S_l^H,
 
     a Sylvester operator with a correction of rank 2 n_s^2 (Simoncini,
     "Computational methods for linear matrix equations", SIAM Review 58(3),
     2016).  :meth:`solve` inverts it by the Sherman-Morrison-Woodbury
-    identity: with Z_l = B_l X S_l (n_s x n_s),
-    X = M^-1 (Y + sum_l B_l^H Z_l S_l^H) G_r^-1, and the Z_l solve the
-    2 n_s^2 x 2 n_s^2 capacitance system
+    identity: with Z_l = B_l Q X S_l (n_s x n_s),
+    X = A^-1 (V + sum_l (B_l Q)^H Z_l S_l^H) G_r^-1 for right-hand side V,
+    and the Z_l solve the 2 n_s^2 x 2 n_s^2 capacitance system
 
-        Z_k - sum_l (B_k M^-1 B_l^H) Z_l (S_l^H G_r^-1 S_k) = B_k M^-1 Y G_r^-1 S_k.
+        Z_k - sum_l (B_k Q A^-1 Q^H B_l^H) Z_l (S_l^H G_r^-1 S_k) = B_k Q A^-1 V G_r^-1 S_k.
 
-    Per system that is one n_r x n_r inverse (of M) and one of the
+    Per system that is one d x d inverse (of A) and one of the
     capacitance matrix; the slot's G_r^-1 parts come from
     :attr:`SlotProblem.solve_factors`.  K is self-adjoint in the Frobenius
     inner product (W_l, G_l and G_r are Hermitian), and so is K^-1.
@@ -433,13 +477,13 @@ class RelaySystem:
     def __init__(self, problem: SlotProblem, r: np.ndarray):
         self.problem = problem
         self.r = r
-        self.b = herm(r) @ problem.h                  # B_l, (R, 2, n_s, n_r)
+        self.b = herm(r) @ problem.h_out              # B_l Q, (R, 2, n_s, d)
         self.c = _w_f(problem.nu, r) / problem.budget
 
-    w0 = cached_property(lambda self: self.problem._w_f0(self.b))  # W_f0, (R, n_r, n_r); not needed for residual
+    w0 = cached_property(lambda self: self.problem._w_f0(self.b))  # Q^H W_f0, (R, d, n_r); not needed for residual
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """K(X) - W_f0 for a stack of n_r x n_r matrices.
+        """K(X) - W_f0 for a stack of d x n_r matrices.
 
         At a unit-norm steering matrix whose receive matrices are its Wiener
         solution, this is the gradient of the receive-eliminated sum MSE (by
@@ -449,31 +493,32 @@ class RelaySystem:
         return self.apply(x[:, None], self.problem.p_bar_h_bar_h[:, :, :, None])[:, 0]
 
     def apply(self, x: np.ndarray, target=0.0) -> np.ndarray:
-        """sum_l B_l^H (B_l X G_l - T_l) + c X G_r for X (R, count, n_r, n_r), never forming W_l:
+        """sum_l B_l^H (B_l X G_l - T_l) + c X G_r for X (R, count, d, n_r), never forming W_l:
         K(X) at T = 0, K(X) - W_f0 at T_l = p_lbar H_lbar^H, given as (R, 2, n_s, 1, n_r).
         [B_1; B_2] multiplies the X side by side, and [B_1^H B_2^H] sums over l."""
         p = self.problem
-        size, count, n_r, _ = x.shape
-        b = self.b.reshape(size, -1, n_r)                   # [B_1; B_2], (R, 2 n_s, n_r)
-        bx = (b @ x.swapaxes(1, 2).reshape(size, n_r, count * n_r)).reshape(size, 2, -1, n_r)
+        size, count, d, n_r = x.shape
+        b = self.b.reshape(size, -1, d)                     # [B_1; B_2], (R, 2 n_s, d)
+        bx = (b @ x.swapaxes(1, 2).reshape(size, d, count * n_r)).reshape(size, 2, -1, n_r)
         inner = (bx @ p.g).reshape(size, 2, -1, count, n_r) - target
-        out = (herm(b) @ inner.reshape(size, b.shape[1], -1)).reshape(size, n_r, count, n_r).swapaxes(1, 2)
+        out = (herm(b) @ inner.reshape(size, b.shape[1], -1)).reshape(size, d, count, n_r).swapaxes(1, 2)
         return out + self.c[:, None, None, None] * (x.reshape(size, -1, n_r) @ p.gr).reshape(x.shape)
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """M^-1 and the two thin factors of the rank-2 n_s^2 correction.
+        """A^-1 and the two thin factors of the rank-2 n_s^2 correction.
 
-        ``into_z`` maps a row-major flattened right-hand side Y to the
-        capacitance right-hand sides B_k M^-1 Y G_r^-1 S_k, rows (k, a, i) for
+        ``into_z`` maps a row-major flattened right-hand side V to the
+        capacitance right-hand sides B_k Q A^-1 V G_r^-1 S_k, rows (k, a, i) for
         entry (a, i) of Z_k; ``from_z`` maps those, through the inverse
-        capacitance matrix, to the correction sum_l (M^-1 B_l^H) Z_l (S_l^H G_r^-1).
+        capacitance matrix, to the correction sum_l (A^-1 Q^H B_l^H) Z_l (S_l^H G_r^-1).
         """
-        size, _, n_s, n_r = self.b.shape
+        size, _, n_s, d = self.b.shape
+        n_r = self.problem.cfg.n_r
         _, s_gr_inv, q = self.problem.solve_factors
-        m_inv = np.linalg.inv((herm(self.b) @ self.b).sum(axis=1) + self.c[:, None, None] * np.eye(n_r))
-        bm = self.b @ m_inv[:, None]                      # B_k M^-1, (R, 2, n_s, n_r)
-        coupling = bm.reshape(size, 2 * n_s, n_r) @ herm(self.b.reshape(size, 2 * n_s, n_r))
+        a_inv = np.linalg.inv((herm(self.b) @ self.b).sum(axis=1) + self.c[:, None, None] * np.eye(d))
+        bm = self.b @ a_inv[:, None]                      # B_k Q A^-1, (R, 2, n_s, d)
+        coupling = bm.reshape(size, 2 * n_s, d) @ herm(self.b.reshape(size, 2 * n_s, d))
         # rows (k, a, i) and columns (l, b, j) of Z_k[a, i] and Z_l[b, j]
         coupling = coupling.reshape(size, 2, n_s, 1, 2, n_s, 1) * q[:, :, None, :, :, None, :]
         capacitance_inv = np.linalg.inv(np.eye(2 * n_s * n_s) - coupling.reshape(size, 2 * n_s * n_s, -1))
@@ -482,21 +527,21 @@ class RelaySystem:
             * np.conj(f).transpose(0, 3, 1, 2)[:, None, :, :, None, :]
         out_of_z = np.conj(bm)[:, :, :, None, :, None] * f[:, :, None, :, None, :]
         from_z = np.swapaxes(capacitance_inv, -1, -2) @ out_of_z.reshape(size, 2 * n_s * n_s, -1)
-        return m_inv, into_z.reshape(size, n_r * n_r, -1), from_z
+        return a_inv, into_z.reshape(size, d * n_r, -1), from_z
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """K^-1 applied to the right-hand sides ``y``, (R, count, n_r, n_r).
+        """K^-1 applied to the right-hand sides ``y``, (R, count, d, n_r).
 
-        Every product runs over the realization axis only: M^-1 multiplies
+        Every product runs over the realization axis only: A^-1 multiplies
         the right-hand sides side by side, G_r^-1 stacked.  The Woodbury
         correction is formed last and the rest is added into its buffer, so
         besides ``y`` the solve holds at most two arrays of its size at a time.
         """
-        size, count, n_r, _ = y.shape
-        m_inv, into_z, from_z = self._factors
-        v = m_inv @ y.swapaxes(1, 2).reshape(size, n_r, count * n_r)
-        v = (v.reshape(size, n_r * count, n_r) @ self.problem.solve_factors[0]).reshape(size, n_r, count, n_r)
-        x = (y.reshape(size, count, n_r * n_r) @ into_z @ from_z).reshape(size, count, n_r, n_r)
+        size, count, d, n_r = y.shape
+        a_inv, into_z, from_z = self._factors
+        v = a_inv @ y.swapaxes(1, 2).reshape(size, d, count * n_r)
+        v = (v.reshape(size, d * count, n_r) @ self.problem.solve_factors[0]).reshape(size, d, count, n_r)
+        x = (y.reshape(size, count, d * n_r) @ into_z @ from_z).reshape(size, count, d, n_r)
         return np.add(x, v.swapaxes(1, 2), out=x)
 
     def condition(self, index: int) -> float:
@@ -507,19 +552,19 @@ class RelaySystem:
         """
         from scipy.sparse.linalg import LinearOperator, onenormest
         one = RelaySystem(self.problem.subset([index]), self.r[[index]])
-        n_r = self.b.shape[-1]
+        d, n_r = self.b.shape[-1], self.problem.cfg.n_r
 
         def norm(operator):
-            def columns(x):  # each column a row-major flattened n_r x n_r matrix
-                return operator(x.T.reshape(1, -1, n_r, n_r)).reshape(-1, n_r * n_r).T.reshape(x.shape)
-            return onenormest(LinearOperator((n_r * n_r,) * 2, columns, columns, columns, complex, columns), t=1)
+            def columns(x):  # each column a row-major flattened d x n_r matrix
+                return operator(x.T.reshape(1, -1, d, n_r)).reshape(-1, d * n_r).T.reshape(x.shape)
+            return onenormest(LinearOperator((d * n_r,) * 2, columns, columns, columns, complex, columns), t=1)
 
         return float(norm(one.apply) * norm(one.solve))
 
     def solve_stationarity(self, rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The relay step K^-1 W_f0, and K^-1 applied to k further right-hand sides, in one solve.
 
-        ``rhs`` (R, 1 + k, n_r, n_r) holds the further right-hand sides after
+        ``rhs`` (R, 1 + k, d, n_r) holds the further right-hand sides after
         a first entry that is overwritten with W_f0, so that they are solved
         where they were built, never copied.  A step that misses
         ||K(X) - W_f0|| <= 1e-10 ||W_f0|| is singular to working tolerance if
@@ -555,16 +600,16 @@ def _unit(f: np.ndarray) -> np.ndarray:
 
 def _newton_directions(problem: SlotProblem, system: RelaySystem, f_bar, alpha, r) -> tuple[np.ndarray, np.ndarray]:
     """The receive Hessian blocks A_l = C_l G_l C_l^H + nu_l / alpha^2 I (C_l = H_rl F_bar) and the
-    right-hand sides of the model's relay solve (R, 1 + 4 n_s^2, n_r, n_r).
+    right-hand sides of the model's relay solve (R, 1 + 4 n_s^2, d, n_r), for ``f_bar`` in design coordinates.
 
     After an entry left for W_f0 (see :meth:`RelaySystem.solve_stationarity`)
     they hold the matrices B e_k for the unit receive perturbations e_k: the
     change of K(F_bar) - W_f0 when R_l moves along e_k, each a sum of outer
-    products laid out as [row, column] of the n_r x n_r matrix.  The outer
+    products laid out as [row, column] of the d x n_r matrix.  The outer
     products are freed on return, before the solve.
     """
-    size, n_r, n_s = len(f_bar), f_bar.shape[-1], problem.cfg.n_s
-    c = (problem.h.reshape(size, 2 * n_s, n_r) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
+    size, (d, n_r), n_s = len(f_bar), f_bar.shape[-2:], problem.cfg.n_s
+    c = (problem.h_out.reshape(size, 2 * n_s, d) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
     cg = c @ problem.g                                # C_l G_l
     a = np.einsum("rlij,rlmj->rlim", cg, c.conj()) + alpha[:, None, None, None] ** -2 * problem.nu_eye  # A_l
     d1 = np.einsum("rlji,rljm->rlim", r.conj(), cg) - problem.p_bar_h_bar_h  # R_l^H C_l G_l - p_lbar H_lbar^H
@@ -572,7 +617,7 @@ def _newton_directions(problem: SlotProblem, system: RelaySystem, f_bar, alpha, 
     o2 = np.conj(system.b)[:, :, None, :, :, None] * cg[:, :, :, None, None, :]
     fg = (f_bar @ problem.gr)[:, None, None, None] / problem.budget
     dw = (2.0 * problem.nu[:, None, None] * r)[..., None, None]
-    rhs = np.empty((size, 1 + 4 * n_s * n_s, n_r, n_r), dtype=complex)
+    rhs = np.empty((size, 1 + 4 * n_s * n_s, d, n_r), dtype=complex)
     b = rhs[:, 1:].reshape(o1.shape[:4] + (2,) + o1.shape[4:])  # a view
     b[..., 0, :, :] = o1 + o2 + dw.real * fg
     b[..., 1, :, :] = 1j * (o1 - o2) + dw.imag * fg
@@ -602,12 +647,13 @@ class _NewtonModel:
     i F_bar, which leave J unchanged, are projected out of the low-rank
     part.  Receive-side quantities are carried in real coordinates (entry
     (l, b, c) of R_l, real then imaginary part), relay-side ones as
-    row-major flattened n_r x n_r matrices.  The curvature B^T u is read
-    from the direction matrices B e_k as Re <B e_k, u>, in one product.
+    row-major flattened d x n_r matrices of design coordinates.  The
+    curvature B^T u is read from the direction matrices B e_k as
+    Re <B e_k, u>, in one product.
     """
 
     def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
-        size, n_r = len(f_bar), f_bar.shape[-1]
+        size = len(f_bar)
         self.system = system
         a, rhs = _newton_directions(problem, system, f_bar, alpha, r)
         self.raw, k_inv_b = system.solve_stationarity(rhs)
@@ -617,14 +663,14 @@ class _NewtonModel:
         # c tr(F_bar G_r F_bar^H) = sum_l nu_l ||R_l||^2 / alpha^2 at the power budget.
         x = f_bar.reshape(size, -1)
         kappa = np.einsum("rlij,rlim,rlmj->r", r.conj(), a, r).real
-        b = rhs[:, 1:].reshape(size, -1, n_r * n_r)
+        b = rhs[:, 1:].reshape(size, -1, x.shape[1])
         along = (b @ x.conj()[..., None]) / kappa[:, None, None]
         self.w = k_inv_b.reshape(b.shape)
         self.w -= along * x[:, None]
 
         # B^T is read from the same directions: entry k of B^T u is Re <B e_k, u>,
         # the real dot product of the interleaved real and imaginary parts.
-        self._b = b.view(np.float64).swapaxes(1, 2)         # (R, 2 n_r^2, 4 n_s^2)
+        self._b = b.view(np.float64).swapaxes(1, 2)         # (R, 2 d n_r, 4 n_s^2)
         m = self._mixed(self.w)
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
         self._d, self._m = _receive_hessian(a), m
@@ -637,13 +683,13 @@ class _NewtonModel:
         return np.subtract(self._d[:, None], blend, out=blend)
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
-        """Receive coordinates of B^T u for flattened relay directions u (R, k, n_r^2): one real product."""
+        """Receive coordinates of B^T u for flattened relay directions u (R, k, d n_r): one real product."""
         return np.ascontiguousarray(u).view(np.float64) @ self._b
 
     def steps(self, u: np.ndarray) -> np.ndarray:
-        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, n_r, n_r).
+        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, d, n_r).
 
-        Returns (R, c, n_r, n_r), one step per blend system ``blend`` (R, c)
+        Returns (R, c, d, n_r), one step per blend system ``blend`` (R, c)
         of weight sigma = 1 - ``keep``; each system is solved for its one
         right-hand side, never inverted.
         """
@@ -712,6 +758,8 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     always runs ``cfg.max_iterations``; finished realizations drop out of the
     batch.  With ``pin_receive`` the receive matrices stay at identity and
     the relay step, exact for fixed receive matrices, is the whole design.
+    The iterations run in design coordinates (see :class:`SlotProblem`);
+    the returned steering matrices are full ones, F_bar = Q Y.
     """
     cfg = problem.cfg
     n_r, n_s = cfg.n_r, cfg.n_s
@@ -725,6 +773,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     f_bar = _unit(RelaySystem(problem, r).solve_stationarity()[0])
     if pin_receive:
         # Later relay steps repeat this one exactly: the trace is flat after it.
+        f_bar = problem.expand(f_bar)
         alpha = problem.amplification(f_bar)
         j = problem.objective(f_bar, alpha, r)
         used = 1 if cfg.max_iterations == 1 else (2 if tol > 0 else cfg.max_iterations)
@@ -735,7 +784,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
 
     out = BatchDesign(f_bar.copy(), alpha.copy(), r.copy(), j.copy(),
                       np.full(size, cfg.max_iterations), j_trace)
-    active = np.arange(size)
+    full, active = problem, np.arange(size)
     done = np.abs(j - j_trace[:, 0]) < tol * np.maximum(1.0, np.abs(j_trace[:, 0]))
     sigma = np.full(size, _SIGMA_START)
     for iteration in range(2, cfg.max_iterations + 1):
@@ -746,15 +795,16 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
             out.iterations_used[finished] = iteration - 1
             keep = ~done
             if not np.any(keep):
-                return out
+                break
             active, problem = active[keep], problem.subset(keep)
             f_bar, alpha, r, j, sigma = f_bar[keep], alpha[keep], r[keep], j[keep], sigma[keep]
         j_before = j.copy()
         f_bar, alpha, r, j, sigma = _accelerated_iteration(problem, f_bar, alpha, r, j, sigma)
         done = np.abs(j - j_before) < tol * np.maximum(1.0, np.abs(j_before))
         out.j_trace[active, iteration] = j
-
-    out.f_bar[active], out.alpha[active], out.r[active], out.j[active] = f_bar, alpha, r, j
+    else:
+        out.f_bar[active], out.alpha[active], out.r[active], out.j[active] = f_bar, alpha, r, j
+    out.f_bar = full.expand(out.f_bar)
     return out
 
 

@@ -352,32 +352,62 @@ def _stacked_problem(cfg, seed, size, g_c_scale):
     ), draws
 
 
-def _kronecker_relay_system(cfg, ch1, ch0, g_c_scale, r):
-    """Dense n_r^2 x n_r^2 relay system and W_f0 of one realization, built from its channels."""
+def _kronecker_relay_system(cfg, ch1, ch0, g_c_scale, r, q=None):
+    """Dense relay system and W_f0 of one realization, built from its channels.
+
+    Full (n_r^2 x n_r^2, for F) without ``q``; with an orthonormal ``q``
+    (n_r x d), restricted to F = q Y: sum_l G_l^T kron q^H W_l q + c G_r^T kron I
+    (d n_r x d n_r), which is G_r^T kron A - sum_l (S_l S_l^H)^T kron q^H W_l q,
+    and q^H W_f0.
+    """
     g1, g2, gr = _relay_input_covariances(cfg, ch0.h_1r, ch0.h_2r, g_c_scale)
     w1, w2, w_f0, w_f = _receive_operators(cfg, ch1.h_r1, ch1.h_r2, ch0.h_1r, ch0.h_2r, r[0], r[1])
-    k = kron(g1.T, w1) + kron(g2.T, w2) + kron(gr.T, w_f / (cfg.n_r * cfg.pr) * np.eye(cfg.n_r))
+    if q is not None:
+        w1, w2, w_f0 = _herm(q) @ w1 @ q, _herm(q) @ w2 @ q, _herm(q) @ w_f0
+    k = kron(g1.T, w1) + kron(g2.T, w2) + kron(gr.T, w_f / (cfg.n_r * cfg.pr) * np.eye(len(w1)))
     return k, w_f0
+
+
+def _basis(problem):
+    """The design's Q (F_bar = Q Y), checked to be an orthonormal basis of range([H_r1; H_r2]^H);
+    the identity when the design runs in full coordinates (n_r <= 2 n_s)."""
+    size, n_r, n_s = len(problem.h), problem.cfg.n_r, problem.cfg.n_s
+    if n_r <= 2 * n_s:
+        assert problem.basis is None
+        return np.broadcast_to(np.eye(n_r), (size, n_r, n_r))
+    q, h = problem.basis, problem.h.reshape(size, 2 * n_s, n_r)
+    assert q.shape == (size, n_r, 2 * n_s)
+    assert np.max(np.abs(_herm(q) @ q - np.eye(2 * n_s))) <= 1e-14
+    assert _relative_error(h @ q @ _herm(q), h) <= 1e-14
+    assert _relative_error(problem.h_out, problem.h @ q[:, None]) <= 1e-14
+    return q
 
 
 @pytest.mark.parametrize("n_s", [1, 2, 3])
 @pytest.mark.parametrize("n_r", [2, 3, 5, 8, 12])
 def test_structured_relay_solve_matches_kronecker_solve(n_s, n_r):
+    # The structured solve runs in the design coordinates F = Q Y: it is
+    # checked against the dense system restricted to them, and its step
+    # also solves the full system.
     rng = np.random.default_rng(100 * n_s + n_r)
     size = 3
     for snr_db in (10.0, 40.0):
         cfg = config_from_snr_inr(snr_db, 0.0, n_s=n_s, n_r=n_r)
         g_c_scale = rng.uniform(0.05, 2.0, size)
         problem, draws = _stacked_problem(cfg, n_r, size, g_c_scale)
+        q = _basis(problem)
         r = crandn(rng, size, 2, n_s, n_s)
         system = RelaySystem(problem, r)
-        rhs = np.concatenate([system.w0[:, None], crandn(rng, size, 2, n_r, n_r)], axis=1)
+        rhs = np.concatenate([system.w0[:, None], crandn(rng, size, 2, q.shape[-1], n_r)], axis=1)
         x = system.solve(rhs)
         step, _ = system.solve_stationarity()
         for k, (ch1, ch0) in enumerate(draws):
-            dense, w_f0 = _kronecker_relay_system(cfg, ch1, ch0, g_c_scale[k], r[k])
+            dense, w_f0 = _kronecker_relay_system(cfg, ch1, ch0, g_c_scale[k], r[k], q[k])
             assert np.allclose(rhs[k, 0], w_f0, rtol=1e-13, atol=0)
             residual = np.linalg.norm(dense @ vec(step[k]) - vec(w_f0)) / np.linalg.norm(w_f0)
+            assert residual <= 1e-10, (snr_db, k, residual)
+            full, full_w_f0 = _kronecker_relay_system(cfg, ch1, ch0, g_c_scale[k], r[k])
+            residual = np.linalg.norm(full @ vec(q[k] @ step[k]) - vec(full_w_f0)) / np.linalg.norm(full_w_f0)
             assert residual <= 1e-10, (snr_db, k, residual)
             if np.linalg.cond(dense) <= 1e6:
                 for j in range(rhs.shape[1]):
@@ -391,12 +421,13 @@ def test_structured_relay_solve_matches_kronecker_solve(n_s, n_r):
             assert np.array_equal(single.solve_stationarity()[0][0], step[k])
 
 
-@pytest.mark.parametrize("n_r, size, bound_kib", [(5, 40, 42.0), (16, 4, 400.0)])
+@pytest.mark.parametrize("n_r, size, bound_kib", [(5, 40, 36.0), (16, 4, 150.0)])
 def test_design_working_memory_per_realization(n_r, size, bound_kib):
     # The relay solve's right-hand sides, its result and the Newton directions
     # are the largest arrays of an iteration; they are built and reused in
-    # place, so a design call holds about 38 KiB per realization at n_r = 5
-    # and 353 KiB at n_r = 16 (55 and 517 KiB when each was a fresh copy).
+    # place, in design coordinates (2 n_s x n_r), so a design call holds
+    # about 32 KiB per realization at n_r = 5 and 110 KiB at n_r = 16 (38
+    # and 353 KiB in full n_r x n_r coordinates).
     cfg = config_from_snr_inr(5.0, 10.0, n_s=2, n_r=n_r)
     design_slot_batch(_stacked_problem(cfg, 31, size, np.full(size, 0.3))[0])  # warm-up
     problem, _ = _stacked_problem(cfg, 31, size, np.full(size, 0.3))
@@ -412,13 +443,53 @@ def test_design_working_memory_per_realization(n_r, size, bound_kib):
 
 
 def test_near_singular_relay_system_raises():
-    # 50 dB SNR, n_r = 5 > 2 n_s: M and G_r are nearly singular and the relay
-    # system of the first (identity-receiver) step has condition ~7e12
-    cfg = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
-    ch1, ch0 = _instance(cfg, 13)
-    with pytest.raises(SingularSystemError) as info:
-        alternate_optimize(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), cfg)
-    assert info.value.condition > 1e12
+    # Without relay noise and residual SI, G_r = p1 H_1r H_1r^H + p2 H_2r H_2r^H
+    # has rank 2 n_s < n_r: the relay system of the first (identity-receiver)
+    # step is singular in full and in design coordinates alike, at any SNR
+    # (condition estimates 6e17-8e18 here)
+    for snr_db, seed in itertools.product((10.0, 50.0), range(5)):
+        cfg = dataclasses.replace(config_from_snr_inr(snr_db, -20.0, n_s=2, n_r=5), sigma_n_sq_r=0.0)
+        ch1, ch0 = _instance(cfg, seed)
+        with pytest.raises(SingularSystemError) as info:
+            alternate_optimize(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), cfg)
+        assert info.value.condition > 1e12, (snr_db, seed)
+
+
+@pytest.mark.parametrize("n_r", [5, 12])
+def test_designs_lie_in_the_outbound_channels_row_space(n_r):
+    # The sum MSE and the power see F only through H_r1 F, H_r2 F and
+    # tr(F G_r F^H), so the design is F_bar = Q Y: nothing of it lies outside
+    # range([H_r1; H_r2]^H), also at 50 dB, where the relay system in full
+    # coordinates has condition ~1e12.
+    size = 6
+    for snr_db, inr_db in ((10.0, 0.0), (50.0, -20.0)):
+        cfg = config_from_snr_inr(snr_db, inr_db, n_s=2, n_r=n_r)
+        problem, _ = _stacked_problem(cfg, 41, size, np.zeros(size))
+        f_bar = design_slot_batch(problem).f_bar
+        h = problem.h.reshape(size, -1, n_r)
+        outside = np.linalg.norm(f_bar - np.linalg.pinv(h) @ h @ f_bar, axis=(1, 2))
+        assert f_bar.shape == (size, n_r, n_r)
+        assert np.max(outside / np.linalg.norm(f_bar, axis=(1, 2))) <= 1e-14, snr_db
+
+
+def test_relay_solver_in_design_coordinates_meets_the_full_stationarity(rng):
+    # n_s = 1, n_r = 3 > 2 n_s: the relay step is solved for Y (2 x 3), and the
+    # returned steering F_bar = Q Y (3 x 3) meets criterion 3's identities
+    cfg = config_from_snr_inr(5.0, 0.0, n_s=1, n_r=3)
+    budget = cfg.n_r * cfg.pr
+    for k in range(20):
+        ch1, ch0 = _instance(cfg, 60 + k)
+        r1, r2 = _random_receive(rng, 1)
+        ops = build_slot_operators(ch1, ch0, ResidualSICovariance(scale=0.05 * k, n_r=3), r1, r2, cfg)
+        assert ops.problem.basis.shape == (1, 3, 2)
+        sol = solve_relay_beamformer(ops, cfg)
+        assert sol.f_bar.shape == (3, 3)
+        raw = sol.prenorm_scale * sol.f_bar
+        residual = ops.w_f1 @ raw @ ops.g1 + ops.w_f2 @ raw @ ops.g2 + ops.w_f_scalar / budget * raw @ ops.gr - ops.w_f0
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(ops.w_f0)
+        power = np.real(np.trace(sol.f @ ops.gr @ sol.f.conj().T))
+        assert power == pytest.approx(budget, rel=1e-9)
+        assert sol.lam * sol.alpha**2 == pytest.approx(ops.w_f_scalar / budget, abs=1e-10)
 
 
 def test_large_relay_design_avoids_the_kronecker_system(monkeypatch):
@@ -483,10 +554,11 @@ def test_condition_estimate_matches_the_dense_condition(n_s, n_r):
         g_c_scale = rng.uniform(0.0, 1.0, size)
         problem, draws = _stacked_problem(cfg, n_r, size, g_c_scale)
         identity = np.broadcast_to(np.eye(n_s, dtype=complex), (size, 2, n_s, n_s))
+        q = _basis(problem)
         for r in (identity, crandn(rng, size, 2, n_s, n_s)):
             system = RelaySystem(problem, r)
             for k, (ch1, ch0) in enumerate(draws):
-                dense, _ = _kronecker_relay_system(cfg, ch1, ch0, g_c_scale[k], r[k])
+                dense, _ = _kronecker_relay_system(cfg, ch1, ch0, g_c_scale[k], r[k], q[k])
                 state = np.random.get_state()
                 estimate = system.condition(k)
                 assert system.condition(k) == estimate
@@ -558,13 +630,14 @@ def _reference_wiener(problem, f, alpha):
     return alpha[..., None, None, None] * np.linalg.solve(c @ g @ _herm(c) + problem.nu_eye, b), b
 
 
-def _reference_mixed(problem, system, f_bar, r, u):
-    """B^T u through the tables of the receive-gradient change H U P1 + P2 U^H P3 + nu dg R."""
+def _reference_mixed(problem, f_bar, r, u):
+    """B^T u through the tables of the receive-gradient change H U P1 + P2 U^H P3 + nu dg R,
+    for ``f_bar`` and flattened relay directions ``u`` in full coordinates."""
     size, n_r, n_s = len(f_bar), problem.cfg.n_r, problem.cfg.n_s
     cg = problem.h @ f_bar[:, None] @ problem.g
     d1 = _herm(r) @ cg - problem.p_bar_h_bar_h
     t1 = np.einsum("rlia,rljb->rablij", problem.h, np.conj(d1)).reshape(size, n_r * n_r, -1)
-    t2 = np.einsum("rlia,rlbj->rbalij", cg, _herm(system.b)).reshape(size, n_r * n_r, -1)
+    t2 = np.einsum("rlia,rlbj->rbalij", cg, _herm(problem.h) @ r).reshape(size, n_r * n_r, -1)
     gx = np.conj(f_bar @ problem.gr).reshape(size, -1, 1) * (2.0 / problem.budget)
     nu_r = (problem.nu[:, None, None] * r).reshape(size, 1, -1)
     out = u @ t1 + np.conj(u) @ t2 + np.real(u @ gx) * nu_r
@@ -594,36 +667,43 @@ def test_design_kernels_match_their_reference_formulas(n_s, size):
     reference = _receive_coords(np.einsum("rlab,klbc->rklac", a, basis))
     assert np.array_equal(beamforming._receive_hessian(a), reference)
 
+    # the kernels run in the design coordinates Y of F = Q Y; the references in full ones
+    q = _basis(problem)
+    d = q.shape[-1]
     for shape in ((size,), (size, 4)):
-        f = beamforming._unit(crandn(rng, *shape, cfg.n_r, cfg.n_r))
-        alpha = problem.amplification(f)
+        y = beamforming._unit(crandn(rng, *shape, d, cfg.n_r))
+        f = q.reshape(q.shape[:1] + (1,) * (y.ndim - 3) + q.shape[1:]) @ y
+        alpha = problem.amplification(y)
         assert alpha.shape == shape
         assert np.max(np.abs(alpha / _reference_amplification(problem, f) - 1.0)) <= 1e-12
-        r, b = problem.wiener(alpha[..., None, None] * f, alpha)
+        r, b = problem.wiener(alpha[..., None, None] * y, alpha)
         r_ref, b_ref = _reference_wiener(problem, alpha[..., None, None] * f, alpha)
         assert _relative_error(r, r_ref) <= 1e-12 and _relative_error(b, b_ref) <= 1e-12
-        _, r_received, j = problem.receive(f)
+        _, r_received, j = problem.receive(y)
         j_ref = problem.j_max - (b_ref.conj() * r_ref).sum(axis=(-3, -2, -1)).real / alpha
         assert np.array_equal(r_received, r) and np.max(np.abs(j / j_ref - 1.0)) <= 1e-12
 
-    f_bar = beamforming._unit(crandn(rng, size, cfg.n_r, cfg.n_r))
+    f_bar = beamforming._unit(crandn(rng, size, d, cfg.n_r))
     alpha, r, _ = problem.receive(f_bar)
     system = RelaySystem(problem, r)
-    x = crandn(rng, size, 3, cfg.n_r, cfg.n_r)
-    w = _herm(system.b) @ system.b
+    x = crandn(rng, size, 3, d, cfg.n_r)
+    w1, w2, w_f0, w_f = _receive_operators(cfg, problem.h_r1, problem.h_r2, problem.h_1r_prev,
+                                           problem.h_2r_prev, r[:, 0], r[:, 1])
+    w = _herm(q)[:, None] @ np.stack([w1, w2], axis=1) @ q[:, None]  # Q^H W_l Q
     k_x = (w[:, None] @ x[:, :, None] @ problem.g[:, None]).sum(axis=2) \
-        + system.c[:, None, None, None] * (x @ problem.gr[:, None])
+        + (w_f / problem.budget)[:, None, None, None] * (x @ problem.gr[:, None])
     assert _relative_error(system.apply(x), k_x) <= 1e-12
-    assert _relative_error(system.residual(x[:, 0]), k_x[:, 0] - system.w0) <= 1e-12
+    assert _relative_error(system.residual(x[:, 0]), k_x[:, 0] - _herm(q) @ w_f0) <= 1e-12
 
     weights = rng.uniform(0.01, 1.0, (size, 3))
     model = beamforming._NewtonModel(problem, system, f_bar, alpha, r, weights)
-    u_rows = crandn(rng, size, 5, cfg.n_r * cfg.n_r)
-    assert _vector_error(model._mixed(u_rows), _reference_mixed(problem, system, f_bar, r, u_rows)) <= 1e-12
-    u = crandn(rng, size, cfg.n_r, cfg.n_r)
+    u_rows = crandn(rng, size, 5, d * cfg.n_r)
+    u_full = (q[:, None] @ u_rows.reshape(size, 5, d, cfg.n_r)).reshape(size, 5, -1)
+    assert _vector_error(model._mixed(u_rows), _reference_mixed(problem, q @ f_bar, r, u_full)) <= 1e-12
+    u = crandn(rng, size, d, cfg.n_r)
     u_vec = u.reshape(size, 1, -1)
     v = (np.linalg.inv(model.blend) @ model._mixed(u_vec)[..., None])[..., 0]
-    steps = -(u_vec + model.keep[..., None] * (v @ model.w)).reshape(size, 3, cfg.n_r, cfg.n_r)
+    steps = -(u_vec + model.keep[..., None] * (v @ model.w)).reshape(size, 3, d, cfg.n_r)
     assert _relative_error(model.steps(u), steps) <= 1e-10
 
 

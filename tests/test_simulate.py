@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -158,15 +159,16 @@ def test_design_calls_per_ten_slot_trajectory(monkeypatch, scheme, realizations,
 
 
 def test_stacked_conventional_designs_keep_the_singular_policy(monkeypatch):
-    # At 50 dB some relay steps are singular to working tolerance, and which
-    # seeds hit one depends on rounding.  Whatever they are, a stacked call
-    # raises exactly when the one-slot calls do, for the same slot and
-    # realization and with the same condition.
-    cfg = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
+    # Without relay noise the conventional relay steps are singular (G_r has
+    # rank 2 n_s < n_r); with it, none is at 50 dB.  A stacked call raises
+    # exactly when the one-slot calls do, for the same slot and realization
+    # and with the same condition.
+    noisy = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
+    quiet = replace(noisy, sigma_n_sq_r=0.0)
 
     def outcomes():
         found = []
-        for seed in range(20):
+        for seed, cfg in itertools.product(range(5), (noisy, quiet)):
             try:
                 run_trajectory(cfg, "conventional", slots=4, seed=seed)
                 found.append(None)
@@ -181,10 +183,14 @@ def test_stacked_conventional_designs_keep_the_singular_policy(monkeypatch):
     assert None in stacked
 
 
-def test_singular_relay_step_names_its_slot_and_realization():
+def test_singular_relay_step_names_its_slot_and_realization(monkeypatch):
     # The error names the first slot of a trajectory whose design fails (the
     # shortest trajectory that raises), and a sweep cell reports the first
-    # failing (slot, realization) of its stacked designs.
+    # failing (slot, realization) of its stacked designs.  Without relay
+    # noise the conventional relay steps are singular (G_r has rank 2 n_s < n_r).
+    config = SweepSpec.config
+    monkeypatch.setattr(SweepSpec, "config", lambda self, snr_db, inr_db:
+                        replace(config(self, snr_db, inr_db), sigma_n_sq_r=0.0))
     spec = SweepSpec(snr_db=(50.0,), inr_db=(-20.0,), schemes=("conventional",), slots=4, realizations=2)
     cfg = spec.config(50.0, -20.0)
 
@@ -205,6 +211,15 @@ def test_singular_relay_step_names_its_slot_and_realization():
     (failure,) = run_sweep(replace(spec, seed=seed)).failures
     assert failure["error"] == (f"relay step of slot {slot}, realization {k}: "
                                 f"singular system (condition estimate {condition:.3e})")
+
+
+def test_no_conventional_relay_step_is_singular_at_50_db():
+    # In design coordinates the relay system at (50, -20) dB has condition
+    # ~1e7; in full coordinates it has ~1e12, and rounding decides which
+    # steps miss the residual guard and raise
+    cfg = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
+    for seed in range(20):
+        run_trajectory(cfg, "conventional", slots=4, seed=seed)
 
 
 def test_batched_engine_respects_convergence_tolerance():
