@@ -7,26 +7,31 @@ solution:
 
 * relay step: the stationarity system
       W_f1 Fb G_1 + W_f2 Fb G_2 + w_f / (n_r pr) * Fb G_r = W_f0
-  is solved in its structured form (:class:`RelaySystem`: a Sylvester
-  operator plus a rank-2 n_s^2 correction, inverted by the Woodbury
-  identity with one d x d inverse per system, never as a Kronecker
-  system; a step that misses its residual check is singular when a
-  condition estimate of the operator says so, and is otherwise refined
-  once); the solution is renormalized to unit Frobenius norm with alpha
-  restored from the transmit power constraint tr(F G_r F^H) = n_r pr (the
-  physical F is invariant to that rescaling);
+  is solved as one dense system (:class:`RelaySystem`: its n_r^2 x n_r^2
+  Kronecker matrix is inverted once per system, and every further
+  right-hand side is one product with that inverse; a system whose exact
+  1-norm condition exceeds ``CONDITION_LIMIT`` is singular, and a step that
+  misses its residual check is refined once); the solution is renormalized
+  to unit Frobenius norm with alpha restored from the transmit power
+  constraint tr(F G_r F^H) = n_r pr (the physical F is invariant to that
+  rescaling);
 * receive step: per-source regularized Wiener inverse.
 
 The sum MSE and the transmit power see F only through H_r1 F, H_r2 F and
-tr(F G_r F^H), so with n_r > 2 n_s relay antennas an optimum has the form
-F_bar = Q Y, where Q (n_r x 2 n_s) is an orthonormal basis of
-range([H_r1; H_r2]^H): the channel-aligned structure of the optimal AF MIMO
-relay (Rong, Tang and Hua, IEEE Trans. Signal Process. 57(12), 2009).  The
-design therefore carries the d x n_r matrix Y (d = 2 n_s) and forms
-F_bar = Q Y once, when :func:`design_slot_batch` returns; with
-n_r <= 2 n_s, d = n_r and Y is F_bar itself.  Restricted this way the relay
-operator keeps no directions in which only the noise term c X G_r acts, so
-its conditioning grows 10-fold per 10 dB of SNR instead of 100-fold.
+tr(F G_r F^H), and the relay-input covariances are (g_c + sigma_r^2) I plus
+terms in range([H_1r H_2r]).  So with n_r > 2 n_s relay antennas an optimum
+has the form F_bar = Q Z P^H, where Q and P (n_r x 2 n_s) are orthonormal
+bases of range([H_r1; H_r2]^H) and range([H_1r H_2r]) and Z is
+2 n_s x 2 n_s: the part of F_bar outside range(Q) reaches no receiver, and
+the part F_bar (I - P P^H) forwards only isotropic noise, so removing
+either raises neither the sum MSE nor the power.  This is the
+channel-aligned structure of the optimal AF MIMO relay on both sides (Rong,
+Tang and Hua, IEEE Trans. Signal Process. 57(12), 2009).
+:func:`design_slot_batch` therefore designs Z on the equivalent
+2 n_s-antenna problem (:meth:`SlotProblem.reduced`) and lifts
+F_bar = Q Z P^H once, when it returns; its relay system has (2 n_s)^2
+unknowns whatever n_r is, and keeps no directions in which only the noise
+term acts.  With n_r <= 2 n_s the reduction is the identity.
 
 Both steps and the sum MSE exist once, batched over realizations, in
 :class:`SlotProblem` and :class:`RelaySystem`; the per-realization functions
@@ -77,8 +82,7 @@ __all__ = [
 ]
 
 
-# Relay steps whose relative residual exceeds this get a condition estimate and
-# one refinement step.
+# Relay steps whose relative residual exceeds this get one refinement step.
 _SOLVE_RESIDUAL_LIMIT = 1e-10
 
 # Blend weights tried around the current one at every accelerated iteration.
@@ -103,8 +107,7 @@ class SlotOperators:
     source 2's estimate, and the transmit power; they do not depend on the
     receive matrices.  w_f0 is the desired-signal operator, w_f1/w_f2 the
     receive-side quadratic kernels, and w_f_scalar collects the noise and
-    source-loopback power picked up by the receive matrices.  They are in
-    full coordinates (n_r x n_r); ``system`` works in the design's.
+    source-loopback power picked up by the receive matrices.
     """
 
     problem: SlotProblem
@@ -113,10 +116,9 @@ class SlotOperators:
     g1 = property(lambda self: self.problem.g[0, 0])
     g2 = property(lambda self: self.problem.g[0, 1])
     gr = property(lambda self: self.problem.gr[0])
-    b = property(lambda self: herm(self.system.r) @ self.problem.h)  # B_l in full coordinates, (1, 2, n_s, n_r)
-    w_f0 = property(lambda self: self.problem._w_f0(self.b)[0])
-    w_f1 = property(lambda self: herm(self.b[0, 0]) @ self.b[0, 0])
-    w_f2 = property(lambda self: herm(self.b[0, 1]) @ self.b[0, 1])
+    w_f0 = property(lambda self: self.system.w0[0])
+    w_f1 = property(lambda self: herm(self.system.b[0, 0]) @ self.system.b[0, 0])
+    w_f2 = property(lambda self: herm(self.system.b[0, 1]) @ self.system.b[0, 1])
     w_f_scalar = property(lambda self: float(self.system.c[0] * self.problem.budget))
 
 
@@ -172,12 +174,14 @@ def build_slot_operators(
 def solve_relay_beamformer(ops: SlotOperators, cfg: SystemConfig) -> RelaySolution:
     """Closed-form relay steering/amplification for fixed receive matrices.
 
-    The relay step of :meth:`RelaySystem.solve_stationarity`.  Raises
+    The relay step of :meth:`RelaySystem.solve_stationarity`, solved on the
+    equivalent problem of :meth:`SlotProblem.reduced` and lifted.  Raises
     :class:`DegenerateObjectiveError` when the desired-signal operator is
     exactly zero (zero source power or zero receive matrices), since
     normalizing a zero steering matrix would hide a configuration error.
     """
-    raw = ops.problem.expand(ops.system.solve_stationarity()[0])[0]
+    problem, q, p = ops.problem.reduced()
+    raw = _lift(RelaySystem(problem, ops.system.r).solve_stationarity()[0], q, p)[0]
     prenorm_scale = float(np.linalg.norm(raw))
     f_bar = raw / prenorm_scale
     alpha = float(ops.problem.amplification(f_bar[None])[0])
@@ -201,7 +205,7 @@ def solve_receive_beamformers(
     depend on alpha.
     """
     problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
-    r = problem.wiener(problem.restrict(np.asarray(f)[None]), np.array([alpha]))[0][0]
+    r = problem.wiener(np.asarray(f)[None], np.array([alpha]))[0][0]
     return r[0], r[1]
 
 
@@ -228,12 +232,21 @@ def _w_f(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 
 def _receive_hessian(a: np.ndarray) -> np.ndarray:
-    """blockdiag_l(A_l kron I) (R, 4 n_s^2, 4 n_s^2) in receive coordinates: row (l, b, c, s) is A_l i^s E_bc."""
+    """blockdiag_l(A_l kron I) (R, 4 n_s^2, 4 n_s^2) in receive coordinates: row (l, b, c, s) is A_l i^s E_bc.
+
+    Block l has entry ((b, c, s), (a, c, s')) = [[Re, Im], [-Im, Re]][s][s'] of A_l[a, b]; it is written
+    through a view of the block that splits its axes, once per c.
+    """
     size, _, n_s, _ = a.shape
-    d = np.zeros((size, 2, n_s, n_s, 2, 2, n_s, n_s, 2))  # (R, l, b, c, s, l', a, c', s')
+    m = 2 * n_s * n_s
     parts = np.stack([np.stack([a.real, a.imag], -1), np.stack([-a.imag, a.real], -1)], -2)  # (R, l, a, b, s, s')
-    np.einsum("rlbcslact->rlbsact", d)[...] = parts.transpose(0, 1, 3, 4, 2, 5)[..., None, :]  # view: l = l', c = c'
-    return d.reshape(size, 4 * n_s * n_s, -1)
+    parts = parts.transpose(0, 1, 3, 4, 2, 5)                                                    # (R, l, b, s, a, s')
+    d = np.zeros((size, 2 * m, 2 * m))
+    for l in (0, 1):
+        block = d[:, l * m:(l + 1) * m, l * m:(l + 1) * m].reshape(size, n_s, n_s, 2, n_s, n_s, 2)  # (R, b, c, s, a, c', s')
+        for c in range(n_s):
+            block[:, :, c, :, :, c] = parts[:, l]
+    return d
 
 
 def _replace_rows(stack, rows):
@@ -290,22 +303,15 @@ class SlotProblem:
     1: source 2) second: ``h`` holds H_r1, H_r2 (n_s x n_r), ``h_bar`` the
     previous slot's inbound channel of the *other* source (H_2r for source 1,
     H_1r for source 2), ``g`` the relay-input covariances G_1, G_2 seen by
-    each estimate and ``gr`` the one of the transmit power.
-
-    The design works in coordinates Y (d x n_r) of the steering matrix
-    F_bar = Q Y (see the module docstring): ``basis`` holds Q (n_r x 2 n_s),
-    from one reduced QR [H_r1; H_r2]^H = Q T, and ``h_out`` the outbound
-    channels H_rl Q (n_s x 2 n_s), the blocks of T^H.  With n_r <= 2 n_s,
-    ``basis`` is None and ``h_out`` is ``h``.  Householder Q spans
-    range([H_r1; H_r2]^H) also when the stack is rank-deficient.
-    :meth:`amplification`, :meth:`wiener` and :meth:`receive` take design
-    coordinates, :meth:`objective` full ones; :meth:`expand` and
-    :meth:`restrict` map between them.
+    each estimate and ``gr`` the one of the transmit power.  Every steering
+    matrix is n_r x n_r.  :func:`design_slot_batch` designs on the
+    equivalent problem of :meth:`reduced`, whose n_r is 2 n_s whenever the
+    configured one is larger (see the module docstring).
     """
 
     # the inputs and derived arrays with a realization axis; subsets share the others
-    _ROWS = ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale", "h", "basis", "h_out", "h_bar", "h_conj",
-             "g", "gr", "p_bar_h_bar_h")
+    _ROWS = ("h_r1", "h_r2", "h_1r_prev", "h_2r_prev", "g_c_scale", "h", "h_bar", "h_conj", "g", "gr",
+             "p_bar_h_bar_h")
 
     cfg: SystemConfig
     h_r1: np.ndarray
@@ -319,14 +325,8 @@ class SlotProblem:
         n_r = cfg.n_r
         self.g_c_scale = np.asarray(self.g_c_scale)
         self.h = np.stack([self.h_r1, self.h_r2], axis=1)
-        size, d = len(self.h), 2 * cfg.n_s
-        if n_r > d:
-            self.basis, t = np.linalg.qr(herm(self.h.reshape(size, d, n_r)))
-            self.h_out = herm(t).reshape(size, 2, cfg.n_s, d)
-        else:
-            self.basis, self.h_out = None, self.h
         self.h_bar = np.stack([self.h_2r_prev, self.h_1r_prev], axis=1)
-        self.h_conj = np.conj(self.h_out)[:, :, :, None, :, None]
+        self.h_conj = np.conj(self.h)[:, :, :, None, :, None]
         hh1 = cfg.p1 * (self.h_1r_prev @ herm(self.h_1r_prev))
         hh2 = cfg.p2 * (self.h_2r_prev @ herm(self.h_2r_prev))
         base = (self.g_c_scale + cfg.sigma_n_sq_r)[:, None, None] * np.eye(n_r)
@@ -356,40 +356,35 @@ class SlotProblem:
     def subset(self, keep) -> "SlotProblem":
         """The same problem restricted to the realizations ``keep``, by slicing: each array is
         computed row by row, so its slice equals the one derived from the sliced inputs, bit for bit."""
-        rows = {name: getattr(self, name)[keep] for name in self._ROWS if getattr(self, name) is not None}
-        if "solve_factors" in vars(self):
-            rows["solve_factors"] = tuple(a[keep] for a in self.solve_factors)
+        rows = {name: getattr(self, name)[keep] for name in self._ROWS}
         sub = object.__new__(SlotProblem)
         vars(sub).update(vars(self), **rows)
         return sub
 
-    @cached_property
-    def solve_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The parts of every relay solve that depend only on the slot (see :class:`RelaySystem`).
+    def reduced(self) -> tuple["SlotProblem", np.ndarray | None, np.ndarray | None]:
+        """The equivalent problem on 2 n_s relay antennas, and the bases Q, P (R, n_r, 2 n_s) that lift
+        its steering matrices Z to F_bar = Q Z P^H; with n_r <= 2 n_s, this problem and no bases.
 
-        With S = [S_1 S_2], S_l = sqrt(p_l) H_lr, so that G_l = G_r - S_l S_l^H,
-        returns (G_r^-1, S^H G_r^-1, Q) where Q[k, i, l, j] is entry (j, i)
-        of S_l^H G_r^-1 S_k.  Computed on the first solve only: problems that
-        are just scored never need it.
+        From the reduced QRs [H_r1; H_r2]^H = Q T and [H_1r H_2r] = P U, its
+        outbound channels H_rl Q are the blocks of T^H and its inbound ones
+        P^H H_lr the blocks of U; its p_r = p_r n_r / (2 n_s) keeps the
+        budget n_r p_r, and its noise and residual-SI scale are this
+        problem's.  Its sum MSE, power and relay system at Z are this
+        problem's at Q Z P^H.  Householder Q and P span the ranges also when
+        a stack is rank-deficient.
         """
-        cfg = self.cfg
-        s = np.concatenate([math.sqrt(cfg.p1) * self.h_1r_prev, math.sqrt(cfg.p2) * self.h_2r_prev], axis=2)
-        gr_inv = np.linalg.inv(self.gr)
-        s_gr_inv = herm(gr_inv @ s)
-        q = np.swapaxes(s_gr_inv @ s, -1, -2).reshape(-1, 2, cfg.n_s, 2, cfg.n_s)
-        return gr_inv, s_gr_inv, q
-
-    def expand(self, y: np.ndarray) -> np.ndarray:
-        """Steering matrices F_bar = Q Y (R, n_r, n_r) of design coordinates ``y`` (R, d, n_r)."""
-        return y if self.basis is None else self.basis @ y
-
-    def restrict(self, f: np.ndarray) -> np.ndarray:
-        """Design coordinates Q^H F (R, d, n_r) of ``f`` (R, n_r, n_r); exact for H_rl F, as H_rl Q Q^H = H_rl."""
-        return f if self.basis is None else herm(self.basis) @ f
+        cfg, size, d = self.cfg, len(self.h), 2 * self.cfg.n_s
+        if cfg.n_r <= d:
+            return self, None, None
+        q, t = np.linalg.qr(herm(self.h.reshape(size, d, cfg.n_r)))
+        p, u = np.linalg.qr(np.concatenate([self.h_1r_prev, self.h_2r_prev], axis=2))
+        h_out, n_s = herm(t), cfg.n_s
+        reduced = SlotProblem(replace(cfg, n_r=d, pr=cfg.pr * cfg.n_r / d), h_out[:, :n_s], h_out[:, n_s:],
+                              u[:, :, :n_s], u[:, :, n_s:], self.g_c_scale)
+        return reduced, q, p
 
     def amplification(self, f_bar: np.ndarray) -> np.ndarray:
-        """alpha meeting tr(F G_r F^H) = n_r p_r for ``f_bar`` (R, [k,] n_r or d, n_r): one G_r product per
-        realization.  Q has orthonormal columns, so Y and Q Y give the same alpha."""
+        """alpha meeting tr(F G_r F^H) = n_r p_r for ``f_bar`` (R, [k,] n_r, n_r): one G_r product per realization."""
         fg = (f_bar.reshape(len(f_bar), -1, f_bar.shape[-1]) @ self.gr).reshape(f_bar.shape)
         return np.sqrt(self.budget / (fg * f_bar.conj()).real.sum(axis=(-2, -1)))
 
@@ -397,17 +392,16 @@ class SlotProblem:
         """Closed-form receive matrices R_l = alpha p_lbar (C G_l C^H + nu_l I)^-1 C H_lbar.
 
         C = H_rl F is the source-l end-to-end forward channel.  Also returns
-        the right-hand sides p_lbar C H_lbar.  ``f`` (R, [k,] d, n_r), in
-        design coordinates, may carry a candidate axis.  [H_r1 Q; H_r2 Q]
-        multiplies the candidates side by side; C G_l C^H and C H_lbar are
-        one product per receiver, whose n_s x n_s diagonal blocks are read.
+        the right-hand sides p_lbar C H_lbar.  ``f`` (R, [k,] n_r, n_r) may
+        carry a candidate axis.  H = [H_r1; H_r2] multiplies the candidates
+        side by side; C G_l C^H and C H_lbar are one product per receiver,
+        whose n_s x n_s diagonal blocks are read.
         """
         size, n_s, n_r = len(f), self.cfg.n_s, self.cfg.n_r
-        d = self.h_out.shape[-1]
-        f_k = f.reshape(size, -1, d, n_r)                   # (R, k, d, n_r)
+        f_k = f.reshape(size, -1, n_r, n_r)                 # (R, k, n_r, n_r)
         count = f_k.shape[1]
-        f_cat = f_k.swapaxes(1, 2).reshape(size, d, -1)     # [F_1 ... F_k]
-        c = (self.h_out.reshape(size, 2 * n_s, d) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
+        f_cat = f_k.swapaxes(1, 2).reshape(size, n_r, -1)   # [F_1 ... F_k]
+        c = (self.h.reshape(size, 2 * n_s, n_r) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
         del f_cat
         e = np.einsum("rlikj->rklij", (c @ self.h_bar).reshape(size, 2, n_s, count, n_s))
         cgc = ((c @ self.g) @ herm(c)).reshape(size, 2, n_s, count, n_s, count)
@@ -419,7 +413,7 @@ class SlotProblem:
         return r.reshape(shape), b.reshape(shape)
 
     def receive(self, f_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(alpha, Wiener receive matrices, sum MSE) for unit-norm steering ``f_bar`` in design coordinates.
+        """(alpha, Wiener receive matrices, sum MSE) for unit-norm steering ``f_bar``.
 
         With the receive matrices at their optimum the sum MSE reduces to
         n_s (p1 + p2) - sum_l Re tr(b_l^H R_l) / alpha.
@@ -430,7 +424,7 @@ class SlotProblem:
         return alpha, r, j
 
     def objective(self, f_bar: np.ndarray, alpha: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Analytic sum MSE of the design (f_bar, alpha, R_1, R_2), with ``f_bar`` (R, n_r, n_r) in full coordinates."""
+        """Analytic sum MSE of the design (f_bar, alpha, R_1, R_2)."""
         f = alpha[:, None, None] * f_bar
         b = herm(r) @ self.h
         cross = 2.0 * np.real(np.einsum("rij,rij->r", np.conj(self._w_f0(b)), f))
@@ -439,7 +433,7 @@ class SlotProblem:
         return self.j_max - cross / alpha + quad / alpha**2
 
     def _w_f0(self, b: np.ndarray) -> np.ndarray:
-        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl (or Q^H of it from B_l Q)."""
+        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl."""
         return (herm(b) @ self.p_bar_h_bar_h).sum(axis=1)
 
 
@@ -447,43 +441,30 @@ class RelaySystem:
     """Relay stationarity operator of a slot problem for fixed receive matrices, and its inverse.
 
     For receive matrices R_l, with B_l = R_l^H H_rl, W_l = B_l^H B_l and
-    c = w_f / (n_r p_r), the full operator is K(F) = sum_l W_l F G_l + c F G_r
-    and the relay step solves K(F_bar) = W_f0, which minimizes the sum MSE
-    over an unnormalized F_bar.  It is solved in design coordinates
-    F_bar = Q Y (see :class:`SlotProblem`): Q^H K(Q Y) = Q^H W_f0, whose
-    solution is the full one, since (I - Q Q^H) K(F) = c (I - Q Q^H) F G_r
-    and W_f0 lies in range(Q).  Here ``b`` holds B_l Q (n_s x d) and the
-    operator, also written K, acts on d x n_r matrices.  Since
-    G_l = G_r - S_l S_l^H (S_1 = sqrt(p1) H_1r, S_2 = sqrt(p2) H_2r of the
-    previous slot), with A = sum_l (B_l Q)^H (B_l Q) + c I (d x d)
-
-        K(X) = A X G_r - sum_l (B_l Q)^H (B_l Q) X S_l S_l^H,
-
-    a Sylvester operator with a correction of rank 2 n_s^2 (Simoncini,
-    "Computational methods for linear matrix equations", SIAM Review 58(3),
-    2016).  :meth:`solve` inverts it by the Sherman-Morrison-Woodbury
-    identity: with Z_l = B_l Q X S_l (n_s x n_s),
-    X = A^-1 (V + sum_l (B_l Q)^H Z_l S_l^H) G_r^-1 for right-hand side V,
-    and the Z_l solve the 2 n_s^2 x 2 n_s^2 capacitance system
-
-        Z_k - sum_l (B_k Q A^-1 Q^H B_l^H) Z_l (S_l^H G_r^-1 S_k) = B_k Q A^-1 V G_r^-1 S_k.
-
-    Per system that is one d x d inverse (of A) and one of the
-    capacitance matrix; the slot's G_r^-1 parts come from
-    :attr:`SlotProblem.solve_factors`.  K is self-adjoint in the Frobenius
-    inner product (W_l, G_l and G_r are Hermitian), and so is K^-1.
+    c = w_f / (n_r p_r), the operator is K(X) = sum_l W_l X G_l + c X G_r and
+    the relay step solves K(F_bar) = W_f0, which minimizes the sum MSE over
+    an unnormalized F_bar.  On row-major flattened matrices K is the
+    n_r^2 x n_r^2 matrix sum_l W_l kron G_l^T + c I kron G_r^T; it is
+    Hermitian (W_l, G_l and G_r are), and so is K^-1.  On the equivalent
+    problem the design solves (:meth:`SlotProblem.reduced`) that is
+    (2 n_s)^2 unknowns, 16 at n_s = 2, whatever the configured n_r: small
+    enough to invert K once per system, so that each later solve, for the
+    Newton model's right-hand sides, the chord steps and the refinement, is
+    one product.  :meth:`apply` forms K(X) from the factors instead, never
+    from K, so the residual guard checks the inverse against an independent
+    formula.
     """
 
     def __init__(self, problem: SlotProblem, r: np.ndarray):
         self.problem = problem
         self.r = r
-        self.b = herm(r) @ problem.h_out              # B_l Q, (R, 2, n_s, d)
+        self.b = herm(r) @ problem.h                  # B_l, (R, 2, n_s, n_r)
         self.c = _w_f(problem.nu, r) / problem.budget
 
-    w0 = cached_property(lambda self: self.problem._w_f0(self.b))  # Q^H W_f0, (R, d, n_r); not needed for residual
+    w0 = cached_property(lambda self: self.problem._w_f0(self.b))  # W_f0, (R, n_r, n_r); not needed for residual
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """K(X) - W_f0 for a stack of d x n_r matrices.
+        """K(X) - W_f0 for a stack of n_r x n_r matrices.
 
         At a unit-norm steering matrix whose receive matrices are its Wiener
         solution, this is the gradient of the receive-eliminated sum MSE (by
@@ -493,84 +474,60 @@ class RelaySystem:
         return self.apply(x[:, None], self.problem.p_bar_h_bar_h[:, :, :, None])[:, 0]
 
     def apply(self, x: np.ndarray, target=0.0) -> np.ndarray:
-        """sum_l B_l^H (B_l X G_l - T_l) + c X G_r for X (R, count, d, n_r), never forming W_l:
+        """sum_l B_l^H (B_l X G_l - T_l) + c X G_r for X (R, count, n_r, n_r), never forming W_l:
         K(X) at T = 0, K(X) - W_f0 at T_l = p_lbar H_lbar^H, given as (R, 2, n_s, 1, n_r).
         [B_1; B_2] multiplies the X side by side, and [B_1^H B_2^H] sums over l."""
         p = self.problem
-        size, count, d, n_r = x.shape
-        b = self.b.reshape(size, -1, d)                     # [B_1; B_2], (R, 2 n_s, d)
-        bx = (b @ x.swapaxes(1, 2).reshape(size, d, count * n_r)).reshape(size, 2, -1, n_r)
+        size, count, n_r, _ = x.shape
+        b = self.b.reshape(size, -1, n_r)                   # [B_1; B_2], (R, 2 n_s, n_r)
+        bx = (b @ x.swapaxes(1, 2).reshape(size, n_r, count * n_r)).reshape(size, 2, -1, n_r)
         inner = (bx @ p.g).reshape(size, 2, -1, count, n_r) - target
-        out = (herm(b) @ inner.reshape(size, b.shape[1], -1)).reshape(size, d, count, n_r).swapaxes(1, 2)
+        out = (herm(b) @ inner.reshape(size, b.shape[1], -1)).reshape(size, n_r, count, n_r).swapaxes(1, 2)
         return out + self.c[:, None, None, None] * (x.reshape(size, -1, n_r) @ p.gr).reshape(x.shape)
 
     @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A^-1 and the two thin factors of the rank-2 n_s^2 correction.
+    def _inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """(K^T)^-1 (R, n_r^2, n_r^2), so that K^-1 maps flattened rows y to y (K^T)^-1, and the
+        exact 1-norm conditions ||K||_1 ||K^-1||_1 (R,), the infinity norms of K^T and its inverse.
 
-        ``into_z`` maps a row-major flattened right-hand side V to the
-        capacitance right-hand sides B_k Q A^-1 V G_r^-1 S_k, rows (k, a, i) for
-        entry (a, i) of Z_k; ``from_z`` maps those, through the inverse
-        capacitance matrix, to the correction sum_l (A^-1 Q^H B_l^H) Z_l (S_l^H G_r^-1).
+        Entry ((i, j), (a, b)) of K^T is sum_l W_l[a, i] G_l[j, b] + c [a = i] G_r[j, b]:
+        one product over the three terms (W_1, G_1), (W_2, G_2), (c I, G_r).
+        An exactly singular K raises :class:`SingularSystemError` with condition inf.
         """
-        size, _, n_s, d = self.b.shape
-        n_r = self.problem.cfg.n_r
-        _, s_gr_inv, q = self.problem.solve_factors
-        a_inv = np.linalg.inv((herm(self.b) @ self.b).sum(axis=1) + self.c[:, None, None] * np.eye(d))
-        bm = self.b @ a_inv[:, None]                      # B_k Q A^-1, (R, 2, n_s, d)
-        coupling = bm.reshape(size, 2 * n_s, d) @ herm(self.b.reshape(size, 2 * n_s, d))
-        # rows (k, a, i) and columns (l, b, j) of Z_k[a, i] and Z_l[b, j]
-        coupling = coupling.reshape(size, 2, n_s, 1, 2, n_s, 1) * q[:, :, None, :, :, None, :]
-        capacitance_inv = np.linalg.inv(np.eye(2 * n_s * n_s) - coupling.reshape(size, 2 * n_s * n_s, -1))
-        f = s_gr_inv.reshape(size, 2, n_s, n_r)          # S_l^H G_r^-1
-        into_z = bm.transpose(0, 3, 1, 2)[:, :, None, :, :, None] \
-            * np.conj(f).transpose(0, 3, 1, 2)[:, None, :, :, None, :]
-        out_of_z = np.conj(bm)[:, :, :, None, :, None] * f[:, :, None, :, None, :]
-        from_z = np.swapaxes(capacitance_inv, -1, -2) @ out_of_z.reshape(size, 2 * n_s * n_s, -1)
-        return a_inv, into_z.reshape(size, d * n_r, -1), from_z
+        p = self.problem
+        size, n = len(self.b), p.cfg.n_r
+        w = np.concatenate([herm(self.b) @ self.b, self.c[:, None, None, None] * np.eye(n)], axis=1)
+        g = np.concatenate([p.g, p.gr[:, None]], axis=1)
+        kt = w.transpose(0, 3, 2, 1).reshape(size, n * n, 3) @ g.reshape(size, 3, n * n)  # rows (i, a), cols (j, b)
+        kt = kt.reshape(size, n, n, n, n).swapaxes(2, 3).reshape(size, n * n, n * n)
+        try:
+            inverse = np.linalg.inv(kt)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(math.inf) from exc
+        return inverse, np.abs(kt).sum(axis=2).max(axis=1) * np.abs(inverse).sum(axis=2).max(axis=1)
 
     def solve(self, y: np.ndarray) -> np.ndarray:
-        """K^-1 applied to the right-hand sides ``y``, (R, count, d, n_r).
-
-        Every product runs over the realization axis only: A^-1 multiplies
-        the right-hand sides side by side, G_r^-1 stacked.  The Woodbury
-        correction is formed last and the rest is added into its buffer, so
-        besides ``y`` the solve holds at most two arrays of its size at a time.
-        """
-        size, count, d, n_r = y.shape
-        a_inv, into_z, from_z = self._factors
-        v = a_inv @ y.swapaxes(1, 2).reshape(size, d, count * n_r)
-        v = (v.reshape(size, d * count, n_r) @ self.problem.solve_factors[0]).reshape(size, d, count, n_r)
-        x = (y.reshape(size, count, d * n_r) @ into_z @ from_z).reshape(size, count, d, n_r)
-        return np.add(x, v.swapaxes(1, 2), out=x)
+        """K^-1 applied to the right-hand sides ``y``, (R, count, n_r, n_r): one product per realization."""
+        size, count = y.shape[:2]
+        return (y.reshape(size, count, -1) @ self._inverse[0]).reshape(y.shape)
 
     def condition(self, index: int) -> float:
-        """Estimate of ||K||_1 ||K^-1||_1, the 1-norm condition of realization ``index``'s K.
-
-        Hager's estimator (scipy's onenormest at t=1, which draws no random
-        numbers) on :meth:`apply` and :meth:`solve`, each its own adjoint.
-        """
-        from scipy.sparse.linalg import LinearOperator, onenormest
-        one = RelaySystem(self.problem.subset([index]), self.r[[index]])
-        d, n_r = self.b.shape[-1], self.problem.cfg.n_r
-
-        def norm(operator):
-            def columns(x):  # each column a row-major flattened d x n_r matrix
-                return operator(x.T.reshape(1, -1, d, n_r)).reshape(-1, d * n_r).T.reshape(x.shape)
-            return onenormest(LinearOperator((d * n_r,) * 2, columns, columns, columns, complex, columns), t=1)
-
-        return float(norm(one.apply) * norm(one.solve))
+        """||K||_1 ||K^-1||_1, the exact 1-norm condition of realization ``index``'s K."""
+        return float(self._inverse[1][index])
 
     def solve_stationarity(self, rhs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The relay step K^-1 W_f0, and K^-1 applied to k further right-hand sides, in one solve.
 
-        ``rhs`` (R, 1 + k, d, n_r) holds the further right-hand sides after
+        ``rhs`` (R, 1 + k, n_r, n_r) holds the further right-hand sides after
         a first entry that is overwritten with W_f0, so that they are solved
-        where they were built, never copied.  A step that misses
-        ||K(X) - W_f0|| <= 1e-10 ||W_f0|| is singular to working tolerance if
-        its :meth:`condition` exceeds ``CONDITION_LIMIT``, else refined once,
-        X -= K^-1 (K(X) - W_f0); :class:`SingularSystemError` is raised if it
-        is singular or still misses.  Returns (steps, K^-1 of the k others).
+        where they were built, never copied.  A system whose
+        :meth:`condition` exceeds ``CONDITION_LIMIT`` is singular to working
+        tolerance: the residual cannot show it, since the rounding that K^-1
+        amplifies lies near the null space of K, which K maps back to nearly
+        nothing.  A step that misses ||K(X) - W_f0|| <= 1e-10 ||W_f0|| is
+        refined once, X -= K^-1 (K(X) - W_f0).  :class:`SingularSystemError`
+        is raised if a system is singular or a step still misses.  Returns
+        (steps, K^-1 of the k others).
         """
         w0 = self.w0
         if not np.all(w0.reshape(len(w0), -1).any(axis=1)):
@@ -579,18 +536,23 @@ class RelaySystem:
             rhs = w0[:, None]
         else:
             rhs[:, 0] = w0
+        conditions = self._inverse[1]
+        if not np.all(conditions <= CONDITION_LIMIT):
+            raise SingularSystemError(np.max(conditions))
         x = self.solve(rhs)
         raw, bound = x[:, 0], _SOLVE_RESIDUAL_LIMIT * np.linalg.norm(w0, axis=(1, 2))
         residual = self.residual(raw)
         miss = ~(np.linalg.norm(residual, axis=(1, 2)) <= bound)
         if miss.any():
-            condition = max(self.condition(k) for k in np.nonzero(miss)[0])
-            if not condition <= CONDITION_LIMIT:
-                raise SingularSystemError(condition)
             raw[miss] -= self.solve(residual[:, None])[miss, 0]
             if not np.all(np.linalg.norm(self.residual(raw), axis=(1, 2)) <= bound):
-                raise SingularSystemError(condition, "residual target unreachable")
+                raise SingularSystemError(np.max(conditions[miss]), "residual target unreachable")
         return raw, x[:, 1:]
+
+
+def _lift(z: np.ndarray, q: np.ndarray | None, p: np.ndarray | None) -> np.ndarray:
+    """Steering matrices Q Z P^H of the designs ``z`` of an equivalent problem (see :meth:`SlotProblem.reduced`)."""
+    return z if q is None else q @ z @ herm(p)
 
 
 def _unit(f: np.ndarray) -> np.ndarray:
@@ -600,16 +562,16 @@ def _unit(f: np.ndarray) -> np.ndarray:
 
 def _newton_directions(problem: SlotProblem, system: RelaySystem, f_bar, alpha, r) -> tuple[np.ndarray, np.ndarray]:
     """The receive Hessian blocks A_l = C_l G_l C_l^H + nu_l / alpha^2 I (C_l = H_rl F_bar) and the
-    right-hand sides of the model's relay solve (R, 1 + 4 n_s^2, d, n_r), for ``f_bar`` in design coordinates.
+    right-hand sides of the model's relay solve (R, 1 + 4 n_s^2, n_r, n_r).
 
     After an entry left for W_f0 (see :meth:`RelaySystem.solve_stationarity`)
     they hold the matrices B e_k for the unit receive perturbations e_k: the
     change of K(F_bar) - W_f0 when R_l moves along e_k, each a sum of outer
-    products laid out as [row, column] of the d x n_r matrix.  The outer
+    products laid out as [row, column] of the n_r x n_r matrix.  The outer
     products are freed on return, before the solve.
     """
-    size, (d, n_r), n_s = len(f_bar), f_bar.shape[-2:], problem.cfg.n_s
-    c = (problem.h_out.reshape(size, 2 * n_s, d) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
+    size, n_r, n_s = len(f_bar), f_bar.shape[-1], problem.cfg.n_s
+    c = (problem.h.reshape(size, 2 * n_s, n_r) @ f_bar).reshape(size, 2, n_s, n_r)  # C_l = H_rl F_bar
     cg = c @ problem.g                                # C_l G_l
     a = np.einsum("rlij,rlmj->rlim", cg, c.conj()) + alpha[:, None, None, None] ** -2 * problem.nu_eye  # A_l
     d1 = np.einsum("rlji,rljm->rlim", r.conj(), cg) - problem.p_bar_h_bar_h  # R_l^H C_l G_l - p_lbar H_lbar^H
@@ -617,7 +579,7 @@ def _newton_directions(problem: SlotProblem, system: RelaySystem, f_bar, alpha, 
     o2 = np.conj(system.b)[:, :, None, :, :, None] * cg[:, :, :, None, None, :]
     fg = (f_bar @ problem.gr)[:, None, None, None] / problem.budget
     dw = (2.0 * problem.nu[:, None, None] * r)[..., None, None]
-    rhs = np.empty((size, 1 + 4 * n_s * n_s, d, n_r), dtype=complex)
+    rhs = np.empty((size, 1 + 4 * n_s * n_s, n_r, n_r), dtype=complex)
     b = rhs[:, 1:].reshape(o1.shape[:4] + (2,) + o1.shape[4:])  # a view
     b[..., 0, :, :] = o1 + o2 + dw.real * fg
     b[..., 1, :, :] = 1j * (o1 - o2) + dw.imag * fg
@@ -641,15 +603,14 @@ class _NewtonModel:
     The model keeps those systems, D - (1 - sigma) B^T K^-1 B for the
     candidate weights ``weights`` (R, c), and solves them at each step;
     :meth:`blended` builds them for other weights.
-    K^-1 is applied by the structured :meth:`RelaySystem.solve`, to the
-    4 n_s^2 rows of B together with W_f0 (the plain step), so the model
-    also carries the plain step ``raw``.  Directions along F_bar and
-    i F_bar, which leave J unchanged, are projected out of the low-rank
-    part.  Receive-side quantities are carried in real coordinates (entry
-    (l, b, c) of R_l, real then imaginary part), relay-side ones as
-    row-major flattened d x n_r matrices of design coordinates.  The
-    curvature B^T u is read from the direction matrices B e_k as
-    Re <B e_k, u>, in one product.
+    K^-1 is applied by :meth:`RelaySystem.solve`, to the 4 n_s^2 rows of B
+    together with W_f0 (the plain step), so the model also carries the
+    plain step ``raw``.  Directions along F_bar and i F_bar, which leave J
+    unchanged, are projected out of the low-rank part.  Receive-side
+    quantities are carried in real coordinates (entry (l, b, c) of R_l,
+    real then imaginary part), relay-side ones as row-major flattened
+    n_r x n_r matrices.  The curvature B^T u is read from the direction
+    matrices B e_k as Re <B e_k, u>, in one product.
     """
 
     def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
@@ -670,7 +631,7 @@ class _NewtonModel:
 
         # B^T is read from the same directions: entry k of B^T u is Re <B e_k, u>,
         # the real dot product of the interleaved real and imaginary parts.
-        self._b = b.view(np.float64).swapaxes(1, 2)         # (R, 2 d n_r, 4 n_s^2)
+        self._b = b.view(np.float64).swapaxes(1, 2)         # (R, 2 n_r^2, 4 n_s^2)
         m = self._mixed(self.w)
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
         self._d, self._m = _receive_hessian(a), m
@@ -683,13 +644,13 @@ class _NewtonModel:
         return np.subtract(self._d[:, None], blend, out=blend)
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
-        """Receive coordinates of B^T u for flattened relay directions u (R, k, d n_r): one real product."""
+        """Receive coordinates of B^T u for flattened relay directions u (R, k, n_r^2): one real product."""
         return np.ascontiguousarray(u).view(np.float64) @ self._b
 
     def steps(self, u: np.ndarray) -> np.ndarray:
-        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, d, n_r).
+        """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, n_r, n_r).
 
-        Returns (R, c, d, n_r), one step per blend system ``blend`` (R, c)
+        Returns (R, c, n_r, n_r), one step per blend system ``blend`` (R, c)
         of weight sigma = 1 - ``keep``; each system is solved for its one
         right-hand side, never inverted.
         """
@@ -758,8 +719,9 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     always runs ``cfg.max_iterations``; finished realizations drop out of the
     batch.  With ``pin_receive`` the receive matrices stay at identity and
     the relay step, exact for fixed receive matrices, is the whole design.
-    The iterations run in design coordinates (see :class:`SlotProblem`);
-    the returned steering matrices are full ones, F_bar = Q Y.
+    Every iteration runs on the equivalent problem of
+    :meth:`SlotProblem.reduced`; of the reduction only the bases Q and P
+    are kept, to lift the returned steering matrices to F_bar = Q Z P^H.
     """
     cfg = problem.cfg
     n_r, n_s = cfg.n_r, cfg.n_s
@@ -770,21 +732,21 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     j_trace = np.full((size, cfg.max_iterations + 1), np.nan)
     j_trace[:, 0] = problem.objective(f_bar, problem.amplification(f_bar), r)
 
+    problem, q, p = problem.reduced()
     f_bar = _unit(RelaySystem(problem, r).solve_stationarity()[0])
     if pin_receive:
         # Later relay steps repeat this one exactly: the trace is flat after it.
-        f_bar = problem.expand(f_bar)
         alpha = problem.amplification(f_bar)
         j = problem.objective(f_bar, alpha, r)
         used = 1 if cfg.max_iterations == 1 else (2 if tol > 0 else cfg.max_iterations)
         j_trace[:, 1:used + 1] = j[:, None]
-        return BatchDesign(f_bar, alpha, r, j, np.full(size, used), j_trace)
+        return BatchDesign(_lift(f_bar, q, p), alpha, r, j, np.full(size, used), j_trace)
     alpha, r, j = problem.receive(f_bar)
     j_trace[:, 1] = j
 
     out = BatchDesign(f_bar.copy(), alpha.copy(), r.copy(), j.copy(),
                       np.full(size, cfg.max_iterations), j_trace)
-    full, active = problem, np.arange(size)
+    active = np.arange(size)
     done = np.abs(j - j_trace[:, 0]) < tol * np.maximum(1.0, np.abs(j_trace[:, 0]))
     sigma = np.full(size, _SIGMA_START)
     for iteration in range(2, cfg.max_iterations + 1):
@@ -804,7 +766,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
         out.j_trace[active, iteration] = j
     else:
         out.f_bar[active], out.alpha[active], out.r[active], out.j[active] = f_bar, alpha, r, j
-    out.f_bar = full.expand(out.f_bar)
+    out.f_bar = _lift(out.f_bar, q, p)
     return out
 
 

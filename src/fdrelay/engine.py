@@ -77,7 +77,7 @@ SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 # Slot-realizations per stacked design call (see _TrajectoryState.advance).
 # At n_r = 5 a design iteration costs about 0.6 ms plus 0.07 ms per row (one
 # BLAS thread), so 32 rows keep the fixed part near 21%, and their working
-# memory (about 32 KiB per row, buffers reused in place) near 1 MiB; from 32
+# memory (about 31 KiB per row, buffers reused in place) near 1 MiB; from 32
 # realizations on, stacking slots saves nothing.
 _STACK_ROWS = 32
 
@@ -309,7 +309,7 @@ class _TrajectoryState:
                 # though the design modeled no residual interference; the
                 # receive matrices are re-derived at the calibrated beamformer
                 alpha = true_problem.amplification(f_bar)
-                r = problem.wiener(alpha[:, None, None] * problem.restrict(f_bar), alpha)[0]
+                r = problem.wiener(alpha[:, None, None] * f_bar, alpha)[0]
             j_true = true_problem.objective(f_bar, alpha, r)
         f = alpha[:, None, None] * f_bar
 

@@ -136,7 +136,7 @@ def test_chained_error_trace_requires_square_matching(rng):
 
 
 def test_importing_the_package_loads_no_scipy():
-    # scipy serves only solve_linear and the condition estimate, and is imported there;
+    # scipy serves only solve_linear, and is imported there;
     # a fresh interpreter, since this one may already hold scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

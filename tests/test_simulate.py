@@ -158,11 +158,26 @@ def test_design_calls_per_ten_slot_trajectory(monkeypatch, scheme, realizations,
     assert sum(counted) == 10 * realizations
 
 
+def _colinear_inbound(monkeypatch, slot, realization):
+    """Channel draws in which slot ``slot`` of ``realization`` has H_2r = H_1r.  Without relay noise the
+    relay-input covariances of slot ``slot`` + 1 then have rank n_s < 2 n_s, so its relay steps are singular
+    in full coordinates and on the equivalent 2 n_s-antenna problem alike."""
+    draw = engine._draw_stacked
+
+    def colinear(cfg, seed, t, realizations):
+        ch = draw(cfg, seed, t, realizations)
+        rows = np.array([t == slot and k == realization for k in realizations])[:, None, None]
+        return replace(ch, h_2r=np.where(rows, ch.h_1r, ch.h_2r))
+
+    monkeypatch.setattr(engine, "_draw_stacked", colinear)
+
+
 def test_stacked_conventional_designs_keep_the_singular_policy(monkeypatch):
-    # Without relay noise the conventional relay steps are singular (G_r has
-    # rank 2 n_s < n_r); with it, none is at 50 dB.  A stacked call raises
-    # exactly when the one-slot calls do, for the same slot and realization
-    # and with the same condition.
+    # With colinear inbound channels at slot 0, the conventional relay steps
+    # of slot 1 are singular without relay noise; with it, none is at 50 dB.
+    # A stacked call raises exactly when the one-slot calls do, for the same
+    # slot and realization and with the same condition.
+    _colinear_inbound(monkeypatch, slot=0, realization=0)
     noisy = config_from_snr_inr(50.0, -20.0, n_s=2, n_r=5)
     quiet = replace(noisy, sigma_n_sq_r=0.0)
 
@@ -187,7 +202,9 @@ def test_singular_relay_step_names_its_slot_and_realization(monkeypatch):
     # The error names the first slot of a trajectory whose design fails (the
     # shortest trajectory that raises), and a sweep cell reports the first
     # failing (slot, realization) of its stacked designs.  Without relay
-    # noise the conventional relay steps are singular (G_r has rank 2 n_s < n_r).
+    # noise, and with colinear inbound channels at slot 1 of realization 1,
+    # the conventional relay step of slot 2 of realization 1 is singular.
+    _colinear_inbound(monkeypatch, slot=1, realization=1)
     config = SweepSpec.config
     monkeypatch.setattr(SweepSpec, "config", lambda self, snr_db, inr_db:
                         replace(config(self, snr_db, inr_db), sigma_n_sq_r=0.0))
