@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -234,19 +234,29 @@ def _w_f(nu: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _receive_hessian(a: np.ndarray) -> np.ndarray:
     """blockdiag_l(A_l kron I) (R, 4 n_s^2, 4 n_s^2) in receive coordinates: row (l, b, c, s) is A_l i^s E_bc.
 
-    Block l has entry ((b, c, s), (a, c, s')) = [[Re, Im], [-Im, Re]][s][s'] of A_l[a, b]; it is written
-    through a view of the block that splits its axes, once per c.
+    Block l has entry ((b, c, s), (a, c, s')) = [[Re, Im], [-Im, Re]][s][s'] of A_l[a, b]; every entry is
+    written in one scatter from [Re, Im, -Re, -Im] of A (see :func:`_hessian_index`).
     """
     size, _, n_s, _ = a.shape
+    source, target = _hessian_index(n_s)
+    parts = a.view(np.float64).reshape(size, -1, 2)
+    entries = np.concatenate([parts, -parts], axis=2).reshape(size, -1)[:, source]
+    d = np.zeros((size, 16 * n_s**4))
+    d[:, target] = entries
+    return d.reshape(size, 4 * n_s * n_s, 4 * n_s * n_s)
+
+
+@cache
+def _hessian_index(n_s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`_receive_hessian` reads and writes: flat indices into [Re, Im, -Re, -Im] of each entry of
+    A (l, a, b) and into D, over (l, a, b, c, s, s')."""
+    l, a, b, c, s, t = np.indices((2, n_s, n_s, n_s, 2, 2)).reshape(6, -1)
     m = 2 * n_s * n_s
-    parts = np.stack([np.stack([a.real, a.imag], -1), np.stack([-a.imag, a.real], -1)], -2)  # (R, l, a, b, s, s')
-    parts = parts.transpose(0, 1, 3, 4, 2, 5)                                                    # (R, l, b, s, a, s')
-    d = np.zeros((size, 2 * m, 2 * m))
-    for l in (0, 1):
-        block = d[:, l * m:(l + 1) * m, l * m:(l + 1) * m].reshape(size, n_s, n_s, 2, n_s, n_s, 2)  # (R, b, c, s, a, c', s')
-        for c in range(n_s):
-            block[:, :, c, :, :, c] = parts[:, l]
-    return d
+    source = 4 * ((l * n_s + a) * n_s + b) + np.array([[0, 1], [3, 0]])[s, t]
+    row, col = l * m + (b * n_s + c) * 2 + s, l * m + (a * n_s + c) * 2 + t
+    target = row * 2 * m + col
+    source.flags.writeable = target.flags.writeable = False  # shared by every call
+    return source, target
 
 
 def _replace_rows(stack, rows):
@@ -365,20 +375,20 @@ class SlotProblem:
         """The equivalent problem on 2 n_s relay antennas, and the bases Q, P (R, n_r, 2 n_s) that lift
         its steering matrices Z to F_bar = Q Z P^H; with n_r <= 2 n_s, this problem and no bases.
 
-        From the reduced QRs [H_r1; H_r2]^H = Q T and [H_1r H_2r] = P U, its
-        outbound channels H_rl Q are the blocks of T^H and its inbound ones
-        P^H H_lr the blocks of U; its p_r = p_r n_r / (2 n_s) keeps the
-        budget n_r p_r, and its noise and residual-SI scale are this
-        problem's.  Its sum MSE, power and relay system at Z are this
-        problem's at Q Z P^H.  Householder Q and P span the ranges also when
-        a stack is rank-deficient.
+        From the reduced QRs [H_r1; H_r2]^H = Q T and [H_1r H_2r] = P U, both
+        n_r x 2 n_s and taken in one call, its outbound channels H_rl Q are
+        the blocks of T^H and its inbound ones P^H H_lr the blocks of U; its
+        p_r = p_r n_r / (2 n_s) keeps the budget n_r p_r, and its noise and
+        residual-SI scale are this problem's.  Its sum MSE, power and relay
+        system at Z are this problem's at Q Z P^H.  Householder Q and P span
+        the ranges also when a stack is rank-deficient.
         """
-        cfg, size, d = self.cfg, len(self.h), 2 * self.cfg.n_s
+        cfg, size, n_s, d = self.cfg, len(self.h), self.cfg.n_s, 2 * self.cfg.n_s
         if cfg.n_r <= d:
             return self, None, None
-        q, t = np.linalg.qr(herm(self.h.reshape(size, d, cfg.n_r)))
-        p, u = np.linalg.qr(np.concatenate([self.h_1r_prev, self.h_2r_prev], axis=2))
-        h_out, n_s = herm(t), cfg.n_s
+        h_in = np.concatenate([self.h_1r_prev, self.h_2r_prev], axis=2)
+        qp, tu = np.linalg.qr(np.stack([herm(self.h.reshape(size, d, cfg.n_r)), h_in], axis=1))
+        q, p, h_out, u = qp[:, 0], qp[:, 1], herm(tu[:, 0]), tu[:, 1].copy()  # the copy lets T go with tu
         reduced = SlotProblem(replace(cfg, n_r=d, pr=cfg.pr * cfg.n_r / d), h_out[:, :n_s], h_out[:, n_s:],
                               u[:, :, :n_s], u[:, :, n_s:], self.g_c_scale)
         return reduced, q, p
@@ -403,9 +413,9 @@ class SlotProblem:
         f_cat = f_k.swapaxes(1, 2).reshape(size, n_r, -1)   # [F_1 ... F_k]
         c = (self.h.reshape(size, 2 * n_s, n_r) @ f_cat).reshape(size, 2, n_s * count, n_r)  # rows (i, k) of C_l
         del f_cat
-        e = np.einsum("rlikj->rklij", (c @ self.h_bar).reshape(size, 2, n_s, count, n_s))
+        e = (c @ self.h_bar).reshape(size, 2, n_s, count, n_s).transpose(0, 3, 1, 2, 4)
         cgc = ((c @ self.g) @ herm(c)).reshape(size, 2, n_s, count, n_s, count)
-        a = np.einsum("rlikjk->rklij", cgc) + self.nu_eye
+        a = np.diagonal(cgc, axis1=3, axis2=5).transpose(0, 4, 1, 2, 3) + self.nu_eye
         del c, cgc
         b = self.p_bar[:, None, None] * e
         r = alpha.reshape(size, count, 1, 1, 1) * np.linalg.solve(a, b)
@@ -431,6 +441,18 @@ class SlotProblem:
         e = b @ f[:, None]
         quad = sum(trace_quad(e[:, l], self.g[:, l]) + self.nu[l] * fro_sq(r[:, l]) for l in (0, 1))
         return self.j_max - cross / alpha + quad / alpha**2
+
+    def identity_objective(self) -> np.ndarray:
+        """:meth:`objective` at F_bar = I / sqrt(n_r) and R_l = I, in O(n_r^2) per realization.
+
+        There alpha^2 = n_r budget / tr G_r and W_f0 = sum_l p_lbar H_rl^H H_lbar^H, so the sum MSE is
+        j_max - (2 / sqrt(n_r)) Re tr W_f0 + (1 / n_r) sum_l tr(H_rl G_l H_rl^H) + n_s (nu_1 + nu_2) / alpha^2.
+        """
+        n_r = self.cfg.n_r
+        alpha_sq = n_r * self.budget / np.trace(self.gr, axis1=1, axis2=2).real
+        cross = (self.h.conj() * self.p_bar_h_bar_h).real.sum(axis=(1, 2, 3))
+        quad = trace_quad(self.h, self.g).sum(axis=1)
+        return self.j_max - 2.0 / math.sqrt(n_r) * cross + (quad / n_r + self.cfg.n_s * self.nu.sum() / alpha_sq)
 
     def _w_f0(self, b: np.ndarray) -> np.ndarray:
         """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl."""
@@ -530,19 +552,19 @@ class RelaySystem:
         (steps, K^-1 of the k others).
         """
         w0 = self.w0
-        if not np.all(w0.reshape(len(w0), -1).any(axis=1)):
+        if not w0.reshape(len(w0), -1).any(axis=1).all():
             raise DegenerateObjectiveError("desired-signal operator w_f0 is zero")
         if rhs is None:
             rhs = w0[:, None]
         else:
             rhs[:, 0] = w0
         conditions = self._inverse[1]
-        if not np.all(conditions <= CONDITION_LIMIT):
+        if not (conditions <= CONDITION_LIMIT).all():
             raise SingularSystemError(np.max(conditions))
         x = self.solve(rhs)
-        raw, bound = x[:, 0], _SOLVE_RESIDUAL_LIMIT * np.linalg.norm(w0, axis=(1, 2))
+        raw, bound = x[:, 0], _SOLVE_RESIDUAL_LIMIT * np.sqrt((w0.conj() * w0).real.sum(axis=(1, 2)))
         residual = self.residual(raw)
-        miss = ~(np.linalg.norm(residual, axis=(1, 2)) <= bound)
+        miss = ~(np.sqrt((residual.conj() * residual).real.sum(axis=(1, 2))) <= bound)
         if miss.any():
             raw[miss] -= self.solve(residual[:, None])[miss, 0]
             if not np.all(np.linalg.norm(self.residual(raw), axis=(1, 2)) <= bound):
@@ -665,8 +687,9 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     ``r`` is the Wiener solution for ``f_bar``.  The candidates are damped
     Newton steps for blend weights sigma * _SIGMA_FACTORS (most Newton-like
     first) and the plain alternation step; the best one is then refined by
-    ``_CHORD_STEPS`` steps that reuse the same model.  The result is kept
-    only if it does not raise J by more than rounding.
+    up to ``_CHORD_STEPS`` steps that reuse the same model, until a trial
+    that no row accepts.  The result is kept only if it does not raise J by
+    more than rounding.
     """
     weights = np.minimum(sigma[:, None] * _SIGMA_FACTORS, 1.0)
     model = _NewtonModel(problem, RelaySystem(problem, r), f_bar, alpha, r, weights)
@@ -680,23 +703,34 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     slack = _TIE_RTOL * np.maximum(1.0, np.abs(j))
     best = np.argmax(values <= (values.min(axis=1) + slack)[:, None], axis=1)
     rows = np.arange(len(best))
-    new_f, new_alpha, new_r, new_j = candidates[rows, best], c_alpha[rows, best], c_r[rows, best], values[rows, best]
+    # (f_bar, alpha, r, j) of each row's best candidate
+    new = candidates[rows, best], c_alpha[rows, best], c_r[rows, best], values[rows, best]
     plain = best == len(_SIGMA_FACTORS)
-    pick = np.minimum(best, len(_SIGMA_FACTORS) - 1)
-    weight = np.where(plain, 1.0, weights[rows, pick])
+    picked = weights[rows, np.minimum(best, len(_SIGMA_FACTORS) - 1)]
+    weight = np.where(plain, 1.0, picked)
     # chords: the winner's system only
-    model.keep, model.blend = (1.0 - weight)[:, None], model.blended(1.0 - weights[rows, pick][:, None])
+    model.keep, model.blend = (1.0 - weight)[:, None], model.blended(1.0 - picked[:, None])
     for _ in range(_CHORD_STEPS):
+        new_f, _, new_r, new_j = new
         u = model.system.solve(RelaySystem(problem, new_r).residual(new_f)[:, None])[:, 0]
         trial = _unit(new_f + model.steps(u)[:, 0])
-        t_alpha, t_r, t_j = problem.receive(trial)
-        better = t_j <= new_j + slack
-        new_f[better], new_alpha[better], new_r[better], new_j[better] = \
-            trial[better], t_alpha[better], t_r[better], t_j[better]
+        scored = (trial,) + problem.receive(trial)
+        better = scored[3] <= new_j + slack
+        if not better.any():
+            break  # every row is unchanged, so the next chord would repeat this trial
+        new = _take_rows(better, scored, new)
     sigma = np.where(plain, np.minimum(4.0 * sigma, 1.0), weight)
-    moved = new_j <= j + slack
-    f_bar[moved], alpha[moved], r[moved], j[moved] = new_f[moved], new_alpha[moved], new_r[moved], new_j[moved]
-    return f_bar, alpha, r, j, sigma
+    return _take_rows(new[3] <= j + slack, new, (f_bar, alpha, r, j)) + (sigma,)
+
+
+def _take_rows(mask, new, old):
+    """The arrays ``old`` with their rows ``mask`` taken from ``new``, written in place; ``new`` itself if
+    every row is."""
+    if mask.all():
+        return new
+    for target, source in zip(old, new):
+        target[mask] = source[mask]
+    return old
 
 
 def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchDesign:
@@ -710,8 +744,8 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     from one relay system K (see :class:`_NewtonModel` and
     :func:`_accelerated_iteration`): the plain alternation step and damped
     Newton steps for three blend weights around the last successful one,
-    followed by ``_CHORD_STEPS`` further steps from the winner that reuse the
-    same model.  A step is taken only if it does not raise J by more than
+    followed by up to ``_CHORD_STEPS`` further steps from the winner that
+    reuse the same model.  A step is taken only if it does not raise J by more than
     rounding (``_TIE_RTOL`` relative), so the trace never increases beyond
     that; the plain step always qualifies in exact arithmetic.  A
     realization stops once its objective changes by less than
@@ -723,14 +757,12 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     :meth:`SlotProblem.reduced`; of the reduction only the bases Q and P
     are kept, to lift the returned steering matrices to F_bar = Q Z P^H.
     """
-    cfg = problem.cfg
-    n_r, n_s = cfg.n_r, cfg.n_s
+    cfg, n_s = problem.cfg, problem.cfg.n_s
     size = problem.h.shape[0]
     tol = cfg.convergence_tol
     r = np.broadcast_to(np.eye(n_s, dtype=complex), (size, 2, n_s, n_s)).copy()
-    f_bar = np.broadcast_to(np.eye(n_r) / math.sqrt(n_r), (size, n_r, n_r)).astype(complex)
     j_trace = np.full((size, cfg.max_iterations + 1), np.nan)
-    j_trace[:, 0] = problem.objective(f_bar, problem.amplification(f_bar), r)
+    j_trace[:, 0] = problem.identity_objective()
 
     problem, q, p = problem.reduced()
     f_bar = _unit(RelaySystem(problem, r).solve_stationarity()[0])
@@ -750,13 +782,13 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     done = np.abs(j - j_trace[:, 0]) < tol * np.maximum(1.0, np.abs(j_trace[:, 0]))
     sigma = np.full(size, _SIGMA_START)
     for iteration in range(2, cfg.max_iterations + 1):
-        if np.any(done):
+        if done.any():
             finished = active[done]
             out.f_bar[finished], out.alpha[finished] = f_bar[done], alpha[done]
             out.r[finished], out.j[finished] = r[done], j[done]
             out.iterations_used[finished] = iteration - 1
             keep = ~done
-            if not np.any(keep):
+            if not keep.any():
                 break
             active, problem = active[keep], problem.subset(keep)
             f_bar, alpha, r, j, sigma = f_bar[keep], alpha[keep], r[keep], j[keep], sigma[keep]

@@ -171,7 +171,8 @@ def crandn(rng: np.random.Generator, *shape) -> np.ndarray:
 
 
 def slot_rng(seed: int, realization: int, slot: int) -> np.random.Generator:
-    """Independent sub-stream for one (seed, realization, slot) triple."""
+    """Independent sub-stream for one (seed, realization, slot) triple: ``default_rng([seed, realization, slot])``,
+    a PCG64 Generator seeded by ``SeedSequence([seed, realization, slot])``."""
     return np.random.default_rng([int(seed), int(realization), int(slot)])
 
 

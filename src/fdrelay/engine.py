@@ -75,8 +75,8 @@ __all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
 SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
 
 # Slot-realizations per stacked design call (see _TrajectoryState.advance).
-# At n_r = 5 a design iteration costs about 0.6 ms plus 0.07 ms per row (one
-# BLAS thread), so 32 rows keep the fixed part near 21%, and their working
+# At n_r = 5 a design iteration costs about 0.60 ms plus 0.076 ms per row (one
+# BLAS thread), so 32 rows keep the fixed part near 20%, and their working
 # memory (about 31 KiB per row, buffers reused in place) near 1 MiB; from 32
 # realizations on, stacking slots saves nothing.
 _STACK_ROWS = 32
@@ -130,32 +130,28 @@ def _batch_rates(problem: SlotProblem, delta_11, delta_22, core_factor, f_bar, a
     log2 det(I + S S^H (N N^H)^-1) is computed in the whitened factor domain,
     from the singular values of (U_N^H S) / s_N, where N = U_N diag(s_N) V^H.
     That stays well conditioned when the amplified error chains grow
-    geometrically, and is nonnegative by construction.
+    geometrically, and is nonnegative by construction.  Both receivers run in
+    one pass, stacked along a receiver axis after the realization axis.
     """
     cfg = problem.cfg
-    inv_alpha = (1.0 / alpha)[:, None, None]
-    rates = []
-    for h_rl, h_other, delta_ll, p_own, p_other, sigma_n_sq, r_l in (
-        (problem.h_r1, problem.h_2r_prev, delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, r[:, 0]),
-        (problem.h_r2, problem.h_1r_prev, delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, r[:, 1]),
-    ):
-        rb = herm(r_l)
-        noise_factor = np.concatenate(
-            [
-                rb @ (h_rl @ f_bar) @ core_factor,
-                inv_alpha * math.sqrt(p_own) * (rb @ delta_ll),
-                inv_alpha * math.sqrt(sigma_n_sq) * rb,
-            ],
-            axis=2,
-        )
-        signal_factor = math.sqrt(p_other) * (rb @ h_rl @ f_bar @ h_other)
-        p, s_vals, _ = np.linalg.svd(noise_factor, full_matrices=False)
-        if not np.all(np.isfinite(s_vals)) or np.any(s_vals[:, -1] <= 0.0):
-            raise np.linalg.LinAlgError("interference covariance is singular")
-        y = (herm(p) @ signal_factor) / s_vals[..., None]
-        gains = np.linalg.svd(y, compute_uv=False) ** 2
-        rates.append(np.sum(np.log1p(gains), axis=-1) / math.log(2.0))
-    return np.stack(rates, axis=1)
+    inv_alpha = (1.0 / alpha)[:, None, None, None]
+    rb = herm(r)                                             # R_l^H, (R, 2, n_s, n_s)
+    f_bar = f_bar[:, None]
+    noise_factor = np.concatenate(
+        [
+            rb @ (problem.h @ f_bar) @ core_factor[:, None],
+            inv_alpha * np.sqrt([cfg.p1, cfg.p2])[:, None, None] * (rb @ np.stack([delta_11, delta_22], axis=1)),
+            inv_alpha * np.sqrt([cfg.sigma_n_sq_1, cfg.sigma_n_sq_2])[:, None, None] * rb,
+        ],
+        axis=3,
+    )
+    signal_factor = np.sqrt([cfg.p2, cfg.p1])[:, None, None] * (rb @ problem.h @ f_bar @ problem.h_bar)
+    p, s_vals, _ = np.linalg.svd(noise_factor, full_matrices=False)
+    if not np.isfinite(s_vals).all() or (s_vals[..., -1] <= 0.0).any():
+        raise np.linalg.LinAlgError("interference covariance is singular")
+    y = (herm(p) @ signal_factor) / s_vals[..., None]
+    gains = np.linalg.svd(y, compute_uv=False) ** 2
+    return np.sum(np.log1p(gains), axis=-1) / math.log(2.0)
 
 
 def _problem_without_si(cfg: SystemConfig, scheme: str, ch_t: TimeSlotChannels,

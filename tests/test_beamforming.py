@@ -434,14 +434,16 @@ def test_structured_relay_solve_matches_kronecker_solve(n_s, n_r):
             assert np.array_equal(single.solve_stationarity()[0][0], step[k])
 
 
-@pytest.mark.parametrize("n_r, size, bound_kib", [(5, 40, 34.0), (16, 4, 60.0)])
+@pytest.mark.parametrize("n_r, size, bound_kib", [(5, 40, 34.0), (16, 4, 48.0), (32, 4, 50.0)])
 def test_design_working_memory_per_realization(n_r, size, bound_kib):
     # The relay solve's right-hand sides, its result and the Newton directions
     # are the largest arrays of an iteration; they are built and reused in
     # place on the equivalent 2 n_s-antenna problem, which replaces its
-    # subsets as realizations converge, so a design call holds about 30 KiB
-    # per realization at n_r = 5 and 42 KiB at n_r = 16 (32 and 110 KiB with
-    # 2 n_s x n_r unknowns, 38 and 353 KiB with n_r x n_r).
+    # subsets as realizations converge, and the identity start is scored
+    # without n_r x n_r temporaries, so a design call holds about 31 KiB per
+    # realization at n_r = 5, 43 KiB at n_r = 16 and 45 KiB at n_r = 32
+    # (32 and 110 KiB at n_r = 5 and 16 with 2 n_s x n_r unknowns, 38 and
+    # 353 KiB with n_r x n_r).
     cfg = config_from_snr_inr(5.0, 10.0, n_s=2, n_r=n_r)
     design_slot_batch(_stacked_problem(cfg, 31, size, np.full(size, 0.3))[0])  # warm-up
     problem, _ = _stacked_problem(cfg, 31, size, np.full(size, 0.3))
@@ -634,6 +636,32 @@ def test_stack_of_one_problem_is_that_problem():
     assert SlotProblem.stack([problem]) is problem
 
 
+@pytest.mark.parametrize("n_s", [1, 2])
+@pytest.mark.parametrize("n_r", [2, 3, 5, 12, 32])
+def test_identity_objective_is_the_objective_at_the_identity_start(n_s, n_r):
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=n_r)
+    size = 3
+    problem, _ = _stacked_problem(cfg, 41, size, [0.2, 1.1, 3.0])
+    f_bar = np.broadcast_to(np.eye(n_r) / np.sqrt(n_r), (size, n_r, n_r)).astype(complex)
+    r = np.broadcast_to(np.eye(n_s, dtype=complex), (size, 2, n_s, n_s))
+    reference = problem.objective(f_bar, problem.amplification(f_bar), r)
+    assert np.max(np.abs(problem.identity_objective() / reference - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_s, n_r", [(1, 3), (2, 5), (2, 12)])
+def test_reduction_takes_both_bases_in_one_qr(n_s, n_r):
+    # one np.linalg.qr call over both stacks gives each basis bit for bit as its own call does
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=n_r)
+    size = 4
+    problem, _ = _stacked_problem(cfg, 43, size, np.full(size, 0.5))
+    reduced, q, p = problem.reduced()
+    q_alone, t = np.linalg.qr(_herm(problem.h.reshape(size, 2 * n_s, n_r)))
+    p_alone, u = np.linalg.qr(np.concatenate([problem.h_1r_prev, problem.h_2r_prev], axis=2))
+    assert np.array_equal(q, q_alone) and np.array_equal(p, p_alone)
+    assert np.array_equal(reduced.h, _herm(t).reshape(size, 2, n_s, 2 * n_s))
+    assert np.array_equal(reduced.h_bar, np.stack([u[:, :, n_s:], u[:, :, :n_s]], axis=1))
+
+
 def _relative_error(value, reference):
     return float(np.max(np.linalg.norm(value - reference, axis=(-2, -1)) / np.linalg.norm(reference, axis=(-2, -1))))
 
@@ -754,3 +782,42 @@ def test_stacked_designs_equal_designs_alone(n_s, pin_receive):
         alone = design_slot_batch(problem.subset([k]), pin_receive)
         for name in (field.name for field in dataclasses.fields(BatchDesign)):
             assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)[0], equal_nan=name == "j_trace"), (k, name)
+
+
+def _chords_per_iteration(calls):
+    """Chord trials per accelerated iteration from the ranks of the steering stacks passed to
+    ``SlotProblem.receive``: rank 4 scores an iteration's candidates, rank 3 the plain first
+    iteration and each chord trial after them."""
+    chords = []
+    for ndim in calls[1:]:
+        if ndim == 4:
+            chords.append(0)
+        else:
+            chords[-1] += 1
+    return chords
+
+
+def test_chord_loop_stops_once_no_row_accepts(monkeypatch):
+    # At iteration 2, row 1 of this stack (the one of
+    # test_stacked_designs_equal_designs_alone, which checks every row) rejects
+    # its first chord trial while another row accepts its own: the stack then
+    # tries a second chord for every row, row 1 alone stops after one, and
+    # both designs of row 1 are equal bit for bit (a rejected trial leaves the
+    # row as it was, so the second would repeat it).
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=5)
+    problem, _ = _stacked_problem(cfg, 23, 7, np.linspace(0.1, 1.3, 7))
+    calls = []
+    receive = SlotProblem.receive
+
+    def counting(self, f_bar):
+        calls.append(f_bar.ndim)
+        return receive(self, f_bar)
+
+    monkeypatch.setattr(SlotProblem, "receive", counting)
+    stacked = design_slot_batch(problem)
+    assert stacked.iterations_used[1] >= 2 and _chords_per_iteration(calls)[0] == 2
+    calls.clear()
+    alone = design_slot_batch(problem.subset([1]))
+    assert _chords_per_iteration(calls)[0] == 1
+    for name in (field.name for field in dataclasses.fields(BatchDesign)):
+        assert np.array_equal(getattr(stacked, name)[1], getattr(alone, name)[0], equal_nan=name == "j_trace"), name

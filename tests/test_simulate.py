@@ -135,6 +135,50 @@ def test_stacked_slot_designs_equal_one_slot_designs(monkeypatch, scheme, realiz
                                       equal_nan=True), (k, name)
 
 
+def _rates_per_receiver(problem, delta_11, delta_22, core_factor, f_bar, alpha, r):
+    """The rates of ``engine._batch_rates`` with one pass per receiver, each product associated as there."""
+    cfg = problem.cfg
+    inv_alpha = (1.0 / alpha)[:, None, None]
+    rates = []
+    for h_rl, h_other, delta_ll, p_own, p_other, sigma_n_sq, r_l in (
+        (problem.h_r1, problem.h_2r_prev, delta_11, cfg.p1, cfg.p2, cfg.sigma_n_sq_1, r[:, 0]),
+        (problem.h_r2, problem.h_1r_prev, delta_22, cfg.p2, cfg.p1, cfg.sigma_n_sq_2, r[:, 1]),
+    ):
+        rb = r_l.swapaxes(-1, -2).conj()
+        noise_factor = np.concatenate([rb @ (h_rl @ f_bar) @ core_factor,
+                                       inv_alpha * math.sqrt(p_own) * (rb @ delta_ll),
+                                       inv_alpha * math.sqrt(sigma_n_sq) * rb], axis=2)
+        signal_factor = math.sqrt(p_other) * (rb @ h_rl @ f_bar @ h_other)
+        p, s_vals, _ = np.linalg.svd(noise_factor, full_matrices=False)
+        y = (p.swapaxes(-1, -2).conj() @ signal_factor) / s_vals[..., None]
+        gains = np.linalg.svd(y, compute_uv=False) ** 2
+        rates.append(np.sum(np.log1p(gains), axis=-1) / math.log(2.0))
+    return np.stack(rates, axis=1)
+
+
+@pytest.mark.parametrize("scheme, realizations", [("proposed", 1), ("proposed", 3), ("conventional", 2),
+                                                  ("half_duplex", 3)])
+def test_rates_of_both_receivers_equal_one_pass_per_receiver(monkeypatch, scheme, realizations):
+    # Both receivers run in one stacked pass; each must equal its own pass bit
+    # for bit, also once the carried interference factor grows with the slots
+    # (its width at slot 6 is n_r + 5 (n_r + 2 n_s)).
+    calls = []
+    real = engine._batch_rates
+
+    def recording(*args):
+        rates = real(*args)
+        calls.append((args, rates))
+        return rates
+
+    monkeypatch.setattr(engine, "_batch_rates", recording)
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=4)
+    _run_trajectories(cfg, scheme, 6, 3, range(realizations))
+    assert len(calls) == 6 or scheme == "half_duplex"
+    assert max(args[3].shape[-1] for args, _ in calls) == (4 if scheme == "half_duplex" else 4 + 5 * 8)
+    for args, rates in calls:
+        assert np.array_equal(rates, _rates_per_receiver(*args))
+
+
 @pytest.mark.parametrize("scheme, realizations, calls", [
     ("conventional", 1, 1), ("conventional", 40, 10), ("half_duplex", 5, 2), ("proposed", 1, 10),
 ])
