@@ -2,14 +2,14 @@
 
 One trajectory is one channel realization followed over ``slots`` time slots:
 slot 0 carries only the sources' first transmissions (the relay is silent),
-full-duplex operation starts in slot 1.  Each slot is designed with
-:func:`fdrelay.beamforming.design_slot_batch`, then scored and rolled forward
-in slot order.  The proposed and relay-only designs read the residual-SI
-covariance built from every earlier beamformer, so they are designed one slot
-at a time; the conventional and half-duplex designs read only the draws of
-their slot and the one before, so several of their slots are designed in one
-call, stacked with the realizations (at most ``_STACK_ROWS`` = 32 rows; one
-slot per call from 32 realizations on).  Every step is batched over a stack
+full-duplex operation starts in slot 1.  One loop serves every scheme: it
+designs a chunk of slots in one :func:`fdrelay.beamforming.design_slot_batch`
+call, stacked with the realizations, then scores them in slot order.  The
+designs of ``MEMORY_SCHEMES`` (proposed, relay-only) read the residual-SI
+covariance built from every earlier beamformer, so their chunks hold one
+slot; the conventional and half-duplex designs read only the draws of their
+slot and the one before, so their chunks hold ``max(1, _STACK_ROWS // R)``
+slots (at most 32 rows; one slot per call from 32 realizations on).  Every step is batched over a stack
 of realizations, which removes the Python-call overhead that dominates at
 these matrix sizes; each row is computed on its own, so the results do not
 depend on what is stacked alongside it.  :func:`run_trajectories_batch` runs
@@ -70,9 +70,11 @@ from .channel import MEMORY_INFINITE, SystemConfig, TimeSlotChannels, draw_slot_
 from .matrix_core import SingularSystemError, fro_sq, herm
 from .si_propagation import content_trace, residual_si_scale
 
-__all__ = ["SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
+__all__ = ["SCHEMES", "MEMORY_SCHEMES", "BatchTrajectoryStats", "run_trajectories_batch"]
 
 SCHEMES = ("proposed", "conventional", "relay_only", "half_duplex")
+# Schemes whose design reads the residual SI carried from every earlier slot.
+MEMORY_SCHEMES = ("proposed", "relay_only")
 
 # Slot-realizations per stacked design call (see _TrajectoryState.advance).
 # At n_r = 5 a design iteration costs about 0.60 ms plus 0.076 ms per row (one
@@ -154,27 +156,14 @@ def _batch_rates(problem: SlotProblem, delta_11, delta_22, core_factor, f_bar, a
     return np.sum(np.log1p(gains), axis=-1) / math.log(2.0)
 
 
-def _problem_without_si(cfg: SystemConfig, scheme: str, ch_t: TimeSlotChannels,
-                        ch_prev: TimeSlotChannels) -> SlotProblem:
-    """The design problem of a scheme whose design reads no carried state.
-
-    The conventional design models the residual SI as zero; the half-duplex
-    reference has no loopback error at all, so its problem is the
-    single-slot MMSE problem with every error variance zeroed.
-    """
-    if scheme == "half_duplex":
-        cfg = cfg.without_loopback_error()
-    return _slot_problem(cfg, ch_t, ch_prev, np.zeros(len(ch_t.h_r1)))
-
-
 def _half_duplex_slot(problem: SlotProblem) -> tuple[BatchDesign, np.ndarray]:
     """Two-phase two-way relaying reference on stacked half-duplex problems: (design, rates (R, 2)).
 
     Both sources transmit in the first phase (the problem's previous-slot
     inbound channels) and the relay broadcasts in the second (its outbound
-    channels); ``problem`` comes from :func:`_problem_without_si`.  Without
-    loopback error the interference is fresh noise only, and the rates carry
-    the 1/2 prelog of the two-slot exchange.
+    channels); ``problem`` is built on ``cfg.without_loopback_error()`` with a
+    zero residual-SI scale.  Without loopback error the interference is fresh
+    noise only, and the rates carry the 1/2 prelog of the two-slot exchange.
     """
     cfg = problem.cfg
     design = design_slot_batch(problem)
@@ -227,21 +216,16 @@ class _TrajectoryState:
 
         ``cfg`` may differ between calls only in its memory setting: the
         channel draws do not depend on it.  The slots to run are drawn
-        first; conventional and half-duplex slots are then designed in
-        stacked calls of ``max(1, _STACK_ROWS // R)`` slots, the others one
-        slot per call, and every slot is scored in slot order.
+        first, then run in chunks of one slot for ``MEMORY_SCHEMES`` (slot
+        t+1's problem reads slot t's score), else of ``max(1, _STACK_ROWS // R)``.
         """
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
         while len(self.channels) <= until_slot:
             self.channels.append(_draw_stacked(cfg, self.seed, len(self.channels), self.realizations))
-        if scheme in ("proposed", "relay_only"):
-            for t in range(self.slot + 1, until_slot + 1):
-                self._step(cfg, scheme, t)
-            return self
-        chunk = max(1, _STACK_ROWS // len(self.realizations))
+        chunk = 1 if scheme in MEMORY_SCHEMES else max(1, _STACK_ROWS // len(self.realizations))
         for first in range(self.slot + 1, until_slot + 1, chunk):
-            self._run_stacked(cfg, scheme, range(first, min(first + chunk, until_slot + 1)))
+            self._run(cfg, scheme, range(first, min(first + chunk, until_slot + 1)))
         return self
 
     def _record(self, sum_mse: np.ndarray, rates: np.ndarray, design: BatchDesign):
@@ -249,28 +233,32 @@ class _TrajectoryState:
         self.rates += (rates,)
         self.designs += (design,)
 
-    def _run_stacked(self, cfg: SystemConfig, scheme: str, slots: range):
-        """Design ``slots`` of the conventional or half-duplex scheme in one call, then score them in order."""
+    def _problem(self, cfg: SystemConfig, scheme: str, t: int) -> SlotProblem:
+        """The design problem of slot ``t``: on the carried residual-SI scale for the schemes in
+        ``MEMORY_SCHEMES``, else on a zero scale, and without loopback error for half duplex."""
+        g_design = np.zeros(len(self.realizations))
+        if scheme in MEMORY_SCHEMES:
+            g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, len(g_design))
+        elif scheme == "half_duplex":
+            cfg = cfg.without_loopback_error()
+        return _slot_problem(cfg, self.channels[t], self.channels[t - 1], g_design)
+
+    def _run(self, cfg: SystemConfig, scheme: str, slots: range):
+        """Design ``slots`` of ``scheme`` in one call, then score them in slot order."""
         size = len(self.realizations)
-        problems = [_problem_without_si(cfg, scheme, self.channels[t], self.channels[t - 1]) for t in slots]
+        problems = [self._problem(cfg, scheme, t) for t in slots]
         stacked = SlotProblem.stack(problems)
         if scheme == "half_duplex":
             design, rates = self._design(_half_duplex_slot, stacked, slots[0])
         else:
-            design = self._design(design_slot_batch, stacked, slots[0])
+            design = self._design(design_slot_batch, stacked, slots[0], scheme == "relay_only")
         for k, t in enumerate(slots):
             rows = slice(k * size, (k + 1) * size)
-            slot_design = design.subset(rows)
+            slot_design = design if len(slots) == 1 else design.subset(rows)
             if scheme == "half_duplex":
                 self._record(slot_design.j, rates[rows], slot_design)
             else:
                 self._score(cfg, scheme, t, problems[k], slot_design)
-
-    def _step(self, cfg: SystemConfig, scheme: str, t: int):
-        """Design full-duplex slot ``t`` on the carried residual-SI scale, then score it."""
-        g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, len(self.realizations))
-        problem = _slot_problem(cfg, self.channels[t], self.channels[t - 1], g_design)
-        self._score(cfg, scheme, t, problem, self._design(design_slot_batch, problem, t, scheme == "relay_only"))
 
     def _design(self, design, problem: SlotProblem, first_slot: int, *args):
         """``design(problem, *args)`` of rows (slot, realization), slot-major from ``first_slot``.  On a singular

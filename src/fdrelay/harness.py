@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel import MEMORY_AUTO, MEMORY_INFINITE, SystemConfig, config_from_snr_inr
-from .engine import SCHEMES, run_trajectories_batch
+from .engine import MEMORY_SCHEMES, SCHEMES, run_trajectories_batch
 from .memory_select import select_memory
 
 __all__ = [
@@ -39,9 +39,6 @@ CSV_COLUMNS = (
     "mean_sum_mse", "se_sum_mse", "mean_sum_rate", "se_sum_rate",
     "n_realizations", "m_hat", "seed", "config_hash",
 )
-
-# Schemes whose design actually consumes the memory parameter.
-_MEMORY_SCHEMES = ("proposed", "relay_only")
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,7 @@ def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -
     cfg = spec.config(snr_db, inr_db)
     m_hat = ""
     resume = {}  # other cells keep the five-argument call
-    if spec.memory == MEMORY_AUTO and scheme in _MEMORY_SCHEMES:
+    if spec.memory == MEMORY_AUTO and scheme in MEMORY_SCHEMES:
         selection = select_memory(cfg, seed=spec.seed, realizations=spec.realizations)
         cfg = cfg.with_memory(selection.m_hat)
         m_hat = str(selection.m_hat)
@@ -167,7 +164,7 @@ def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -
         cfg, scheme, spec.slots, seed=spec.seed, realizations=spec.realizations, **resume
     )
 
-    m_display = _memory_to_str(cfg.memory) if scheme in _MEMORY_SCHEMES else ""
+    m_display = _memory_to_str(cfg.memory) if scheme in MEMORY_SCHEMES else ""
     config_hash = spec.config_hash()
     records = []
     for k in range(spec.slots):
@@ -191,11 +188,6 @@ def run_grid_point(spec: SweepSpec, snr_db: float, inr_db: float, scheme: str) -
             )
         )
     return records
-
-
-def _grid_point_task(args):
-    spec, snr_db, inr_db, scheme = args
-    return run_grid_point(spec, snr_db, inr_db, scheme)
 
 
 # Tasks are small dense kernels, so each worker runs one BLAS thread.
@@ -243,20 +235,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         if error is None:
             result.records.extend(outcome)
         else:
-            result.failures.append(
-                {"snr_db": snr, "inr_db": inr, "scheme": scheme, "error": str(error)}
-            )
+            result.failures.append({"snr_db": snr, "inr_db": inr, "scheme": scheme, "error": str(error)})
 
     if jobs <= 1:
         for task in tasks:
             try:
-                record_outcome(task, _grid_point_task(task), None)
+                record_outcome(task, run_grid_point(*task), None)
             except Exception as exc:  # noqa: BLE001 - failure isolation per grid point
                 record_outcome(task, None, exc)
         return result
 
     with _worker_pool(jobs) as pool:
-        pending = [pool.apply_async(_grid_point_task, (task,)) for task in tasks]
+        pending = [pool.apply_async(run_grid_point, task) for task in tasks]
         for task, outcome in zip(tasks, pending):
             try:
                 record_outcome(task, outcome.get(), None)

@@ -1,7 +1,10 @@
 """Complex-matrix kernels and the singular-system policy (``CONDITION_LIMIT``).
 
 The batched helpers serve the design; the dense kernels (``vec``/``mat``,
-``kron``, ``solve_linear``) serve tests and oracles only.  Conventions:
+``kron``, ``solve_linear``) serve tests and oracles only, with numpy alone.
+One rule, here and in the design's relay systems: K is singular when its exact
+1-norm condition ||K||_1 ||K^-1||_1 (inf if exactly singular) exceeds
+``CONDITION_LIMIT``.  Conventions:
 
 * ``vec`` stacks columns (Fortran order), so ``vec(A X B) = (B^T kron A) vec(X)``.
 * Matrices are ``numpy.ndarray`` with dtype ``complex128``; all functions here
@@ -38,8 +41,8 @@ _MAX_REFINEMENTS = 4
 class SingularSystemError(np.linalg.LinAlgError):
     """Linear system is singular to working tolerance.
 
-    Carries ``condition`` (an estimate of the 1-norm condition number, possibly
-    ``inf``) so callers can report how degenerate the system was.
+    Carries ``condition`` (the 1-norm condition number, possibly ``inf``) so
+    callers can report how degenerate the system was.
     """
 
     def __init__(self, condition: float, message: str = ""):
@@ -100,13 +103,10 @@ def solve_linear(k: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``K x = b`` for square K with iterative refinement.
 
     Guarantees ``||K x - b|| <= 1e-10 ||b||`` on success.  Raises
-    :class:`SingularSystemError` when K is singular to tolerance (1-norm
-    condition estimate above ``CONDITION_LIMIT``) or the residual target cannot
-    be met.  Imports scipy's LAPACK wrappers on first use, so that importing
-    the package does not load scipy.
+    :class:`SingularSystemError` when K is singular by the module's rule or
+    the residual target cannot be met.  Solves by LU, independently of the
+    design's inverse-based relay solve.
     """
-    from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
-
     k = np.asarray(k, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
@@ -118,24 +118,16 @@ def solve_linear(k: np.ndarray, b: np.ndarray) -> np.ndarray:
     if b_norm == 0.0:
         return np.zeros_like(b)
 
-    anorm = float(np.abs(k).sum(axis=0).max())
-    lu, piv, info = zgetrf(k)
-    if info > 0:
-        raise SingularSystemError(np.inf, "exactly singular system")
-    if info < 0:
-        raise ValueError(f"illegal value in LU factorization (argument {-info})")
-    rcond, _ = zgecon(lu, anorm, norm="1")
-    condition = np.inf if rcond == 0.0 else 1.0 / float(rcond)
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
+    condition = float(np.linalg.cond(k, 1))
+    if not condition <= CONDITION_LIMIT:
         raise SingularSystemError(condition)
 
-    x, _ = zgetrs(lu, piv, b)
+    x = np.linalg.solve(k, b)
     for _ in range(_MAX_REFINEMENTS):
         residual = b - k @ x
         if np.linalg.norm(residual) <= _RESIDUAL_TARGET * b_norm:
             break
-        dx, _ = zgetrs(lu, piv, residual)
-        x = x + dx
+        x = x + np.linalg.solve(k, residual)
 
     if not np.all(np.isfinite(x)) or np.linalg.norm(b - k @ x) > _RESIDUAL_LIMIT * b_norm:
         raise SingularSystemError(condition, "residual target unreachable")

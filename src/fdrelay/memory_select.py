@@ -31,6 +31,9 @@ from .engine import _TrajectoryState
 
 __all__ = ["NoStableMemoryError", "MemoryProbe", "MemorySelection", "select_memory"]
 
+# A candidate is unstable when its MSE drops by more than this many standard errors.
+_SIGNIFICANCE = 1.0
+
 
 class NoStableMemoryError(RuntimeError):
     """No stable memory value found up to the candidate cap."""
@@ -63,7 +66,6 @@ def select_memory(
     seed: int,
     realizations: int,
     max_candidate: int = 32,
-    significance: float = 1.0,
 ) -> MemorySelection:
     """Smallest memory whose truncation slot shows no significant MSE drop.
 
@@ -72,8 +74,8 @@ def select_memory(
     i+1 to run slot i+2 with memory i; this equals a run with memory i from
     slot 1 and is returned as the selection's ``branch`` when i wins.  The
     averaged MSE at slots i+1 and i+2 are compared: the candidate is
-    unstable when the slot-(i+2) average falls more than ``significance``
-    standard errors below the slot-(i+1) average.
+    unstable when the slot-(i+2) average falls more than one standard error
+    (``_SIGNIFICANCE``) below the slot-(i+1) average.
     Sensitivity therefore grows with the realization count; around a
     thousand realizations resolves drops of a fraction of a percent.  Raises
     :class:`NoStableMemoryError` once ``max_candidate`` probes fail (the raw
@@ -91,7 +93,7 @@ def select_memory(
         j2 = branch.sum_mse[candidate + 1]  # slot candidate + 2
         diffs = j1 - j2
         stderr = float(diffs.std(ddof=1) / math.sqrt(realizations)) if realizations > 1 else 0.0
-        stable = float(diffs.mean()) <= significance * stderr + 1e-12
+        stable = float(diffs.mean()) <= _SIGNIFICANCE * stderr + 1e-12
         probes.append(
             MemoryProbe(
                 candidate=candidate,

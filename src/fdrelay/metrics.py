@@ -25,8 +25,7 @@ import numpy as np
 
 from .beamforming import BeamformingSolution
 from .channel import SystemConfig, TimeSlotChannels
-from .engine import (_batch_rates, _half_duplex_slot, _problem_without_si, _relay_interference,
-                     _relay_transmission, _slot_problem)
+from .engine import _batch_rates, _half_duplex_slot, _relay_interference, _relay_transmission, _slot_problem
 
 __all__ = [
     "SlotMetrics",
@@ -59,7 +58,6 @@ def achievable_sum_rate(
     beamformers: Sequence[np.ndarray],
     solution: BeamformingSolution,
     cfg: SystemConfig,
-    scheme: str = "",
 ) -> SlotMetrics:
     """Sum rate of slot t given the realized trajectory up to t.
 
@@ -85,7 +83,7 @@ def achievable_sum_rate(
     problem = _slot_problem(cfg, stacks[t], stacks[t - 1], np.zeros(1))
     rates = _batch_rates(problem, stacks[t].delta_11, stacks[t].delta_22, core, solution.f_bar[None],
                          np.array([solution.alpha]), np.stack([solution.r1, solution.r2])[None])
-    return SlotMetrics.from_rates(channels[t].slot_index, scheme, solution.j_value, rates[0])
+    return SlotMetrics.from_rates(channels[t].slot_index, "", solution.j_value, rates[0])
 
 
 def half_duplex_reference(
@@ -103,7 +101,7 @@ def half_duplex_reference(
     two-slot exchange.
     """
     mac, bc = TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc])
-    design, rates = _half_duplex_slot(_problem_without_si(cfg, "half_duplex", bc, mac))
+    design, rates = _half_duplex_slot(_slot_problem(cfg.without_loopback_error(), bc, mac, np.zeros(1)))
     return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", design.j[0], rates[0])
 
 

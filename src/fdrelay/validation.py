@@ -35,6 +35,9 @@ __all__ = [
     "run_oracle_suite",
 ]
 
+# Rounds of shrinking perturbations in the relay random search.
+_REFINE_ROUNDS = 8
+
 
 def chained_error_trace_sample_mean(v_list, sigma_sq: float, n_samples: int,
                                     rng: np.random.Generator) -> float:
@@ -208,7 +211,6 @@ def brute_force_relay_opt(
     cfg: SystemConfig,
     budget: int,
     rng: np.random.Generator,
-    refine_rounds: int = 8,
 ) -> tuple[float, np.ndarray]:
     """Random-search oracle for the relay subproblem at toy dimensions.
 
@@ -238,9 +240,9 @@ def brute_force_relay_opt(
     consider(crandn(rng, n_random, n_r, n_r))
 
     remaining = budget - n_random
-    per_round = max(1, remaining // max(1, refine_rounds))
+    per_round = max(1, remaining // _REFINE_ROUNDS)
     spread = 0.3
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         if remaining <= 0:
             break
         size = min(per_round, remaining)

@@ -538,19 +538,30 @@ def test_relay_solver_in_design_coordinates_meets_the_full_stationarity(rng):
         assert sol.lam * sol.alpha**2 == pytest.approx(ops.w_f_scalar / budget, abs=1e-10)
 
 
+def _record_relay_systems(monkeypatch) -> list:
+    """Every RelaySystem built from now on, in order."""
+    systems = []
+    init = RelaySystem.__init__
+
+    def recording(system, *args):
+        init(system, *args)
+        systems.append(system)
+
+    monkeypatch.setattr(RelaySystem, "__init__", recording)
+    return systems
+
+
 def test_large_relay_design_avoids_the_kronecker_system(monkeypatch):
     # n_r = 32: the dense relay system would be 1024 x 1024, about 0.3-0.7 s
     # per iteration for its inverse alone; the design inverts the 16 x 16
     # system of the equivalent 4-antenna problem instead.
-    def dense_solve(*args):
-        raise AssertionError("dense relay solve at n_r = 32")
-
-    monkeypatch.setattr(beamforming, "solve_linear", dense_solve, raising=False)
+    systems = _record_relay_systems(monkeypatch)
     cfg = config_from_snr_inr(10.0, 0.0, n_s=2, n_r=32)
     problem, _ = _stacked_problem(cfg, 3, 2, [0.0, 0.5])
     start = time.perf_counter()
     design = design_slot_batch(problem)
     elapsed = time.perf_counter() - start
+    assert systems and all(system.problem.cfg.n_r == 2 * cfg.n_s for system in systems)
     assert elapsed < 5.0, f"{elapsed:.2f} s for {design.iterations_used} iterations"
     for k in range(2):
         trace = design.j_trace[k, : design.iterations_used[k] + 1]
@@ -562,12 +573,10 @@ def test_relay_steps_that_miss_the_residual_guard_are_refined(monkeypatch, n_s, 
     # The first relay step of these 50 dB designs is perturbed by a relative
     # 1e-9, so it misses the 1e-10 residual guard whatever the rounding: its
     # condition stays below the limit, and one refinement step (the second
-    # solve, before the first Newton model's) finishes it without a dense
-    # solve elsewhere.  dense_j is the J of the same design with its missing
-    # steps re-solved through the dense Kronecker system instead.
-    def dense_solve(*args):
-        raise AssertionError("dense relay solve")
-
+    # solve, before the first Newton model's) finishes it; every relay system
+    # is on the equivalent 2 n_s-antenna problem, never the dense n_r one.
+    # dense_j is the J of the same design with its missing steps re-solved
+    # through the dense Kronecker system instead.
     systems, solves = [], []
     solve = RelaySystem.solve
 
@@ -576,13 +585,13 @@ def test_relay_steps_that_miss_the_residual_guard_are_refined(monkeypatch, n_s, 
         solves.append(solve(system, y))
         return solves[-1] * (1.0 + 1e-9) if len(solves) == 1 else solves[-1]
 
-    monkeypatch.setattr(beamforming, "solve_linear", dense_solve, raising=False)
     monkeypatch.setattr(RelaySystem, "solve", perturbed_once)
     cfg = config_from_snr_inr(50.0, 10.0, n_s=n_s, n_r=8)
     ch1, ch0 = _instance(cfg, seed)
     sol = alternate_optimize(ch1, ch0, ResidualSICovariance.zero(cfg.n_r), cfg)
     assert [x.shape[1] for x in solves[:3]] == [1, 1, 1 + 4 * n_s * n_s]
     assert systems[1] is systems[0] and systems[0].condition(0) <= CONDITION_LIMIT
+    assert all(system.problem.cfg.n_r == 2 * n_s for system in systems)
     trace = np.array(sol.j_trace)
     assert np.all(np.diff(trace) <= 1e-13 * np.maximum(1.0, trace[:-1]))
     assert sol.j_value <= dense_j * (1.0 + 1e-12)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdrelay.matrix_core import (
+    CONDITION_LIMIT,
     SingularSystemError,
     chained_error_trace_mean,
     fro_sq,
@@ -108,6 +109,23 @@ def test_solve_near_singular_reports_condition():
     assert excinfo.value.condition > 1e12
 
 
+def test_solve_linear_solves_below_the_condition_limit():
+    # exact 1-norm condition ||K||_1 ||K^-1||_1 = 5e11 < CONDITION_LIMIT
+    k = np.diag([1.0, 2e-12, 1.0]).astype(complex)
+    b = np.ones(3, dtype=complex)
+    assert np.linalg.cond(k, 1) == pytest.approx(5e11, rel=1e-12) and 5e11 < CONDITION_LIMIT
+    assert np.linalg.norm(k @ solve_linear(k, b) - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_solve_linear_reports_the_exact_condition_above_the_limit():
+    # the relay systems' rule: singular when the exact 1-norm condition, here 2e12, exceeds CONDITION_LIMIT
+    k = np.diag([1.0, 5e-13, 1.0]).astype(complex)
+    with pytest.raises(SingularSystemError) as excinfo:
+        solve_linear(k, np.ones(3))
+    assert excinfo.value.condition == pytest.approx(np.linalg.cond(k, 1), rel=1e-12)
+    assert excinfo.value.condition == pytest.approx(2e12, rel=1e-12)
+
+
 def test_solve_zero_rhs_gives_zero(rng):
     k = _cmat(rng, 4, 4)
     assert np.array_equal(solve_linear(k, np.zeros(4, dtype=complex)), np.zeros(4))
@@ -136,10 +154,11 @@ def test_chained_error_trace_requires_square_matching(rng):
 
 
 def test_importing_the_package_loads_no_scipy():
-    # scipy serves only solve_linear, and is imported there;
+    # the package needs numpy alone, solve_linear included;
     # a fresh interpreter, since this one may already hold scipy
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fdrelay; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, numpy as np, fdrelay; fdrelay.solve_linear(np.eye(2), np.ones(2)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"

@@ -181,10 +181,11 @@ def test_rates_of_both_receivers_equal_one_pass_per_receiver(monkeypatch, scheme
 
 @pytest.mark.parametrize("scheme, realizations, calls", [
     ("conventional", 1, 1), ("conventional", 40, 10), ("half_duplex", 5, 2), ("proposed", 1, 10),
+    ("relay_only", 1, 10), ("relay_only", 5, 10), ("half_duplex", 1, 1),
 ])
 def test_design_calls_per_ten_slot_trajectory(monkeypatch, scheme, realizations, calls):
-    # at most 32 slot-realizations per stacked call; the proposed design reads the
-    # scale carried from the slot before, so it takes one call per slot
+    # at most 32 slot-realizations per stacked call; the proposed and relay-only
+    # designs read the scale carried from the slot before, so they take one call per slot
     counted = []
     real = engine.design_slot_batch
 
@@ -200,6 +201,7 @@ def test_design_calls_per_ten_slot_trajectory(monkeypatch, scheme, realizations,
         run_trajectories_batch(cfg, scheme, slots=10, seed=0, realizations=realizations)
     assert len(counted) == calls
     assert sum(counted) == 10 * realizations
+    assert scheme not in engine.MEMORY_SCHEMES or set(counted) == {realizations}
 
 
 def _colinear_inbound(monkeypatch, slot, realization):
