@@ -167,7 +167,8 @@ def build_slot_operators(
     """Assemble one slot's operators for the given receive matrices."""
     if ch_t.h_r1.shape != (cfg.n_s, cfg.n_r) or ch_prev.h_1r.shape != (cfg.n_r, cfg.n_s):
         raise ValueError("channel dimensions inconsistent with configuration")
-    problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
+    problem = SlotProblem.from_draws(cfg, TimeSlotChannels.stack([ch_t]), TimeSlotChannels.stack([ch_prev]),
+                                     np.array([g_c.scale]))
     return SlotOperators(problem, RelaySystem(problem, np.stack([r1, r2])[None]))
 
 
@@ -204,7 +205,8 @@ def solve_receive_beamformers(
     for residual SI ``g_c``.  The composite estimator (1/alpha) R_l^H does not
     depend on alpha.
     """
-    problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
+    problem = SlotProblem.from_draws(cfg, TimeSlotChannels.stack([ch_t]), TimeSlotChannels.stack([ch_prev]),
+                                     np.array([g_c.scale]))
     r = problem.wiener(np.asarray(f)[None], np.array([alpha]))[0][0]
     return r[0], r[1]
 
@@ -350,11 +352,11 @@ class SlotProblem:
         self.j_max = cfg.n_s * (cfg.p1 + cfg.p2)
 
     @classmethod
-    def single(cls, ch_t: TimeSlotChannels, ch_prev: TimeSlotChannels,
-               g_c: ResidualSICovariance, cfg: SystemConfig) -> "SlotProblem":
-        """Batch of one realization."""
-        return cls(cfg, ch_t.h_r1[None], ch_t.h_r2[None], ch_prev.h_1r[None],
-                   ch_prev.h_2r[None], np.array([g_c.scale]))
+    def from_draws(cls, cfg: SystemConfig, ch_t: TimeSlotChannels, ch_prev: TimeSlotChannels,
+                   g_c_scale: np.ndarray) -> "SlotProblem":
+        """The problem of slot t from stacked draws: the outbound channels of ``ch_t`` (slot t), the
+        inbound ones of ``ch_prev`` (slot t-1) and the residual-SI scales ``g_c_scale`` (R,)."""
+        return cls(cfg, ch_t.h_r1, ch_t.h_r2, ch_prev.h_1r, ch_prev.h_2r, g_c_scale)
 
     @classmethod
     def stack(cls, problems: Sequence["SlotProblem"]) -> "SlotProblem":
@@ -821,5 +823,6 @@ def alternate_optimize(
     relay beamformer.  With ``pin_receive`` the receive matrices stay at
     identity (relay-only design).
     """
-    problem = SlotProblem.single(ch_t, ch_prev, g_c, cfg)
+    problem = SlotProblem.from_draws(cfg, TimeSlotChannels.stack([ch_t]), TimeSlotChannels.stack([ch_prev]),
+                                     np.array([g_c.scale]))
     return design_slot_batch(problem, pin_receive).solution(0, cfg)

@@ -4,7 +4,8 @@ One trajectory is one channel realization followed over ``slots`` time slots:
 slot 0 carries only the sources' first transmissions (the relay is silent),
 full-duplex operation starts in slot 1.  One loop serves every scheme: it
 designs a chunk of slots in one :func:`fdrelay.beamforming.design_slot_batch`
-call, stacked with the realizations, then scores them in slot order.  The
+call, stacked with the realizations, then scores them in slot order; half
+duplex runs it on the configuration without loopback error.  The
 designs of ``MEMORY_SCHEMES`` (proposed, relay-only) read the residual-SI
 covariance built from every earlier beamformer, so their chunks hold one
 slot; the conventional and half-duplex designs read only the draws of their
@@ -48,7 +49,12 @@ Scheme semantics:
                      calibrated beamformer;
 * ``relay_only``   - proposed relay design with receive matrices pinned to
                      identity;
-* ``half_duplex``  - two-phase reference on the same channel draws.
+* ``half_duplex``  - two-phase reference on the same channel draws: the
+                     loop runs without loopback error and with infinite
+                     memory, so the residual SI is zero, the zero-scale
+                     design's own MSE is the one reported and the relay
+                     leaks nothing into the next slot; the rates carry the
+                     1/2 prelog of the two-slot exchange.
 
 Reported per-slot MSE is always evaluated against the *untruncated* residual-
 SI covariance of the actually applied beamformers, so schemes and memory
@@ -96,22 +102,13 @@ def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: Sequenc
     return draw_slot_channels(cfg, [slot_rng(seed, r, slot) for r in realizations], slot)
 
 
-def _slot_problem(cfg: SystemConfig, ch_t: TimeSlotChannels, ch_prev: TimeSlotChannels,
-                  g_c_scale: np.ndarray) -> SlotProblem:
-    return SlotProblem(cfg, ch_t.h_r1, ch_t.h_r2, ch_prev.h_1r, ch_prev.h_2r, g_c_scale)
-
-
-def _noise_block(cfg: SystemConfig, size: int) -> np.ndarray:
-    """Stacked Gram factor of the fresh relay noise, sigma_nr I."""
-    return math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(cfg.n_r), (size, cfg.n_r, cfg.n_r))
-
-
 def _relay_interference(cfg: SystemConfig, ch_prev: TimeSlotChannels, x_r_factor) -> np.ndarray:
-    """Gram factor of a slot's relay-side interference: fresh relay noise plus
+    """Gram factor of a slot's relay-side interference: fresh relay noise sigma_nr I plus
     the previous slot's transmission ``x_r_factor`` leaked through its realized
-    relay loopback error (none before the first full-duplex slot)."""
-    noise = _noise_block(cfg, len(ch_prev.h_1r))
-    if x_r_factor is None:
+    relay loopback error (none before the first full-duplex slot, nor without
+    relay loopback error)."""
+    noise = math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(cfg.n_r), (len(ch_prev.h_1r), cfg.n_r, cfg.n_r))
+    if x_r_factor is None or cfg.sigma_e_sq_r == 0:
         return noise
     return np.concatenate([noise, ch_prev.delta_rr @ x_r_factor], axis=2)
 
@@ -156,23 +153,6 @@ def _batch_rates(problem: SlotProblem, delta_11, delta_22, core_factor, f_bar, a
     return np.sum(np.log1p(gains), axis=-1) / math.log(2.0)
 
 
-def _half_duplex_slot(problem: SlotProblem) -> tuple[BatchDesign, np.ndarray]:
-    """Two-phase two-way relaying reference on stacked half-duplex problems: (design, rates (R, 2)).
-
-    Both sources transmit in the first phase (the problem's previous-slot
-    inbound channels) and the relay broadcasts in the second (its outbound
-    channels); ``problem`` is built on ``cfg.without_loopback_error()`` with a
-    zero residual-SI scale.  Without loopback error the interference is fresh
-    noise only, and the rates carry the 1/2 prelog of the two-slot exchange.
-    """
-    cfg = problem.cfg
-    design = design_slot_batch(problem)
-    size = len(design.j)
-    no_error = np.zeros((size, cfg.n_s, cfg.n_s), dtype=complex)
-    rates = _batch_rates(problem, no_error, no_error, _noise_block(cfg, size), design.f_bar, design.alpha, design.r)
-    return design, 0.5 * rates
-
-
 class _TrajectoryState:
     """A stack of trajectories run up to some slot, resumable and forkable.
 
@@ -215,12 +195,18 @@ class _TrajectoryState:
         """Run slots ``slot``+1..``until_slot`` of ``scheme`` under ``cfg``; returns self.
 
         ``cfg`` may differ between calls only in its memory setting: the
-        channel draws do not depend on it.  The slots to run are drawn
+        channel draws do not depend on it.  A half-duplex trajectory runs
+        under ``cfg`` without loopback error and with infinite memory: its
+        draws from slot 1 on carry zero error matrices (slot 0's, drawn with
+        the state, are never read), and its design sees the whole, zero,
+        residual SI.  The slots to run are drawn
         first, then run in chunks of one slot for ``MEMORY_SCHEMES`` (slot
         t+1's problem reads slot t's score), else of ``max(1, _STACK_ROWS // R)``.
         """
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+        if scheme == "half_duplex":
+            cfg = cfg.without_loopback_error().with_memory(MEMORY_INFINITE)
         while len(self.channels) <= until_slot:
             self.channels.append(_draw_stacked(cfg, self.seed, len(self.channels), self.realizations))
         chunk = 1 if scheme in MEMORY_SCHEMES else max(1, _STACK_ROWS // len(self.realizations))
@@ -228,47 +214,32 @@ class _TrajectoryState:
             self._run(cfg, scheme, range(first, min(first + chunk, until_slot + 1)))
         return self
 
-    def _record(self, sum_mse: np.ndarray, rates: np.ndarray, design: BatchDesign):
-        self.sum_mse += (sum_mse,)
-        self.rates += (rates,)
-        self.designs += (design,)
-
     def _problem(self, cfg: SystemConfig, scheme: str, t: int) -> SlotProblem:
         """The design problem of slot ``t``: on the carried residual-SI scale for the schemes in
-        ``MEMORY_SCHEMES``, else on a zero scale, and without loopback error for half duplex."""
+        ``MEMORY_SCHEMES``, else on a zero scale."""
         g_design = np.zeros(len(self.realizations))
         if scheme in MEMORY_SCHEMES:
             g_design = residual_si_scale(cfg, cfg.memory, t, self.f_norm_sq, self.content_trace, len(g_design))
-        elif scheme == "half_duplex":
-            cfg = cfg.without_loopback_error()
-        return _slot_problem(cfg, self.channels[t], self.channels[t - 1], g_design)
+        return SlotProblem.from_draws(cfg, self.channels[t], self.channels[t - 1], g_design)
 
     def _run(self, cfg: SystemConfig, scheme: str, slots: range):
         """Design ``slots`` of ``scheme`` in one call, then score them in slot order."""
         size = len(self.realizations)
         problems = [self._problem(cfg, scheme, t) for t in slots]
-        stacked = SlotProblem.stack(problems)
-        if scheme == "half_duplex":
-            design, rates = self._design(_half_duplex_slot, stacked, slots[0])
-        else:
-            design = self._design(design_slot_batch, stacked, slots[0], scheme == "relay_only")
+        design = self._design(SlotProblem.stack(problems), slots[0], scheme == "relay_only")
         for k, t in enumerate(slots):
-            rows = slice(k * size, (k + 1) * size)
-            slot_design = design if len(slots) == 1 else design.subset(rows)
-            if scheme == "half_duplex":
-                self._record(slot_design.j, rates[rows], slot_design)
-            else:
-                self._score(cfg, scheme, t, problems[k], slot_design)
+            slot_design = design if len(slots) == 1 else design.subset(slice(k * size, (k + 1) * size))
+            self._score(cfg, scheme, t, problems[k], slot_design)
 
-    def _design(self, design, problem: SlotProblem, first_slot: int, *args):
-        """``design(problem, *args)`` of rows (slot, realization), slot-major from ``first_slot``.  On a singular
-        relay step the rows are designed alone, in order; the first to fail raises with its slot and realization."""
+    def _design(self, problem: SlotProblem, first_slot: int, pin_receive: bool = False) -> BatchDesign:
+        """The designs of rows (slot, realization), slot-major from ``first_slot``.  On a singular relay
+        step the rows are designed alone, in order; the first to fail raises with its slot and realization."""
         try:
-            return design(problem, *args)
+            return design_slot_batch(problem, pin_receive)
         except SingularSystemError:
             for row in range(len(problem.h)):
                 try:
-                    design(problem.subset([row]), *args)
+                    design_slot_batch(problem.subset([row]), pin_receive)
                 except SingularSystemError as exc:
                     slot, k = divmod(row, len(self.realizations))
                     raise SingularSystemError(exc.condition, f"relay step of slot {first_slot + slot}, realization "
@@ -276,9 +247,8 @@ class _TrajectoryState:
             raise
 
     def _score(self, cfg: SystemConfig, scheme: str, t: int, problem: SlotProblem, design: BatchDesign):
-        """Score full-duplex slot ``t``, designed as ``design`` on ``problem``, and roll it forward."""
+        """Score slot ``t``, designed as ``design`` on ``problem``, record it and roll it forward."""
         ch_t, ch_prev = self.channels[t], self.channels[t - 1]
-        size = len(self.realizations)
         f_bar, alpha, r = design.f_bar, design.alpha, design.r
 
         # The memory window first truncates the design's scale at slot m+2;
@@ -286,8 +256,8 @@ class _TrajectoryState:
         if scheme != "conventional" and t < cfg.memory + 2:
             j_true = design.j
         else:
-            g_true = residual_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, size)
-            true_problem = _slot_problem(cfg, ch_t, ch_prev, g_true)
+            g_true = residual_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, len(f_bar))
+            true_problem = replace(problem, g_c_scale=g_true)
             if scheme == "conventional":
                 # gain control: the true transmit power meets the budget even
                 # though the design modeled no residual interference; the
@@ -299,7 +269,11 @@ class _TrajectoryState:
 
         core = _relay_interference(cfg, ch_prev, self.x_r_factor)
         rates = _batch_rates(problem, ch_t.delta_11, ch_t.delta_22, core, f_bar, alpha, r)
-        self._record(j_true, rates, replace(design, alpha=alpha, r=r))
+        if scheme == "half_duplex":
+            rates = 0.5 * rates  # the prelog of the two-phase exchange
+        self.sum_mse += (j_true,)
+        self.rates += (rates,)
+        self.designs += (replace(design, alpha=alpha, r=r),)
         self.x_r_factor = _relay_transmission(cfg, ch_prev, core, f)
         self.f_norm_sq += (fro_sq(f),)
         self.content_trace += (content_trace(cfg, f, ch_prev.h_1r, ch_prev.h_2r),)

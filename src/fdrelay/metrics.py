@@ -11,9 +11,10 @@ and the relay-side interference it reads is rolled forward slot by slot by
 the engine's :func:`fdrelay.engine._relay_interference` and
 :func:`fdrelay.engine._relay_transmission`.  :func:`achievable_sum_rate` rolls
 the same two steps over one realization's trajectory and calls the batched
-rate with a stack of one; :func:`half_duplex_reference` is the engine's
-half-duplex slot for a stack of one.  Independent checks of the
-rate are the hand-written log-det formulas in the tests.
+rate with a stack of one; :func:`half_duplex_reference` designs and rates one
+slot, a stack of one, as the engine does for a half-duplex trajectory, which
+runs the full-duplex slot loop without loopback error.  Independent checks of
+the rate are the hand-written log-det formulas in the tests.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .beamforming import BeamformingSolution
+from .beamforming import BeamformingSolution, SlotProblem, design_slot_batch
 from .channel import SystemConfig, TimeSlotChannels
-from .engine import _batch_rates, _half_duplex_slot, _relay_interference, _relay_transmission, _slot_problem
+from .engine import _batch_rates, _relay_interference, _relay_transmission
 
 __all__ = [
     "SlotMetrics",
@@ -80,7 +81,7 @@ def achievable_sum_rate(
     for s in range(1, t):
         x_r_factor = _relay_transmission(cfg, stacks[s - 1], core, beamformers[s - 1])
         core = _relay_interference(cfg, stacks[s], x_r_factor)
-    problem = _slot_problem(cfg, stacks[t], stacks[t - 1], np.zeros(1))
+    problem = SlotProblem.from_draws(cfg, stacks[t], stacks[t - 1], np.zeros(1))
     rates = _batch_rates(problem, stacks[t].delta_11, stacks[t].delta_22, core, solution.f_bar[None],
                          np.array([solution.alpha]), np.stack([solution.r1, solution.r2])[None])
     return SlotMetrics.from_rates(channels[t].slot_index, "", solution.j_value, rates[0])
@@ -94,14 +95,19 @@ def half_duplex_reference(
     """Two-phase two-way relaying baseline on the same channel draws.
 
     Both sources transmit in the first phase (``ch_mac`` inbound channels) and
-    the relay broadcasts in the second (``ch_bc`` outbound channels): the
-    engine's half-duplex slot step for a stack of one.  There is no loopback
-    self-interference, so the design is the single-slot MMSE problem with all
-    error variances zeroed; the sum rate carries the 1/2 prelog of the
-    two-slot exchange.
+    the relay broadcasts in the second (``ch_bc`` outbound channels).  There
+    is no loopback self-interference, so the design is the single-slot MMSE
+    problem with all error variances zeroed, the receivers see fresh noise
+    only, and the sum rate carries the 1/2 prelog of the two-slot exchange:
+    a slot of the engine's half-duplex trajectory, for a stack of one.
     """
+    cfg = cfg.without_loopback_error()
     mac, bc = TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc])
-    design, rates = _half_duplex_slot(_slot_problem(cfg.without_loopback_error(), bc, mac, np.zeros(1)))
+    problem = SlotProblem.from_draws(cfg, bc, mac, np.zeros(1))
+    design = design_slot_batch(problem)
+    no_error = np.zeros((1, cfg.n_s, cfg.n_s), dtype=complex)
+    rates = 0.5 * _batch_rates(problem, no_error, no_error, _relay_interference(cfg, mac, None),
+                               design.f_bar, design.alpha, design.r)
     return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", design.j[0], rates[0])
 
 

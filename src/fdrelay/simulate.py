@@ -22,11 +22,12 @@ __all__ = ["SCHEMES", "TrajectoryResult", "run_trajectory"]
 class TrajectoryResult:
     """Per-slot metrics plus the designs and draws that produced them.
 
-    ``solutions`` is empty for the half-duplex scheme (its per-slot design is
-    internal to the reference construction).  For the conventional scheme a
-    solution carries the calibrated amplification and receive matrices, while
-    ``j_value``, ``j_trace`` and ``iterations_used`` describe the design on
-    its own (zero residual-SI) model.
+    ``solutions`` is empty for the half-duplex scheme: its designs belong to
+    the configuration without loopback error, not to ``cfg``, whose noise
+    and loopback powers a solution's multiplier would read.  For the
+    conventional scheme a solution carries the calibrated amplification and
+    receive matrices, while ``j_value``, ``j_trace`` and ``iterations_used``
+    describe the design on its own (zero residual-SI) model.
     """
 
     metrics: tuple[SlotMetrics, ...]

@@ -15,7 +15,7 @@ from fdrelay.channel import config_from_snr_inr
 from fdrelay.engine import _run_trajectories, run_trajectories_batch
 from fdrelay.harness import SweepSpec, run_sweep
 from fdrelay.matrix_core import SingularSystemError
-from fdrelay.metrics import achievable_sum_rate
+from fdrelay.metrics import achievable_sum_rate, half_duplex_reference
 from fdrelay.si_propagation import ResidualSICovariance, residual_si_covariance
 from fdrelay.simulate import run_trajectory
 
@@ -298,11 +298,13 @@ def test_batched_engine_respects_convergence_tolerance():
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "conventional", "relay_only"])
-@pytest.mark.parametrize("memory", [math.inf, 2])
-def test_trajectory_matches_per_realization_formulas(scheme, memory):
+@pytest.mark.parametrize("memory, n_r", [(math.inf, 3), (2, 3), (math.inf, 6), (2, 6)],
+                         ids=["inf", "2", "inf-nr6", "2-nr6"])
+def test_trajectory_matches_per_realization_formulas(scheme, memory, n_r):
     # every slot of the engine's loop, rebuilt through the per-realization entry points: the
-    # trajectory's SI scale, the realized-chain rate and the conventional recalibration
-    cfg = config_from_snr_inr(3.0, 4.0, n_s=2, n_r=3).with_memory(memory)
+    # trajectory's SI scale, the realized-chain rate and the conventional recalibration; at
+    # n_r = 6 > 2 n_s the engine designs on the equivalent reduced problem, checked here in full size
+    cfg = config_from_snr_inr(3.0, 4.0, n_s=2, n_r=n_r).with_memory(memory)
     traj = run_trajectory(cfg, scheme, slots=5, seed=13, realization=1)
     channels, solutions = traj.channels, traj.solutions
     zero = ResidualSICovariance.zero(cfg.n_r)
@@ -339,3 +341,18 @@ def test_trajectory_matches_per_realization_formulas(scheme, memory):
             g_design = residual_si_covariance(channels, beamformers[: t - 1], cfg)
         ops_design = build_slot_operators(ch_t, ch_prev, g_design, r1, r2, cfg)
         assert close(sol.j_value, evaluate_sum_mse(ops_design, sol.f_bar, alpha, r1, r2, cfg))
+
+
+def test_half_duplex_slots_equal_the_per_slot_reference():
+    # half duplex runs the full-duplex loop without loopback error; every slot, designed
+    # stacked with the other slots and realizations (R = 3: one call of 30 rows) or alone,
+    # equals the per-slot reference to the last bit, on the reduced problem (n_r = 5 > 2 n_s)
+    # and past the configured memory window
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=5).with_memory(2)
+    batch = run_trajectories_batch(cfg, "half_duplex", slots=10, seed=21, realizations=3)
+    for r in range(3):
+        traj = run_trajectory(cfg, "half_duplex", slots=10, seed=21, realization=r)
+        for t, metrics in enumerate(traj.metrics, start=1):
+            reference = half_duplex_reference(traj.channels[t - 1], traj.channels[t], cfg)
+            assert metrics.sum_mse == reference.sum_mse == batch.sum_mse[t - 1, r], (r, t)
+            assert metrics.sum_rate == reference.sum_rate == batch.sum_rate[t - 1, r], (r, t)
