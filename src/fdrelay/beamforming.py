@@ -7,14 +7,14 @@ solution:
 
 * relay step: the stationarity system
       W_f1 Fb G_1 + W_f2 Fb G_2 + w_f / (n_r pr) * Fb G_r = W_f0
-  is solved as one dense system (:class:`RelaySystem`: its n_r^2 x n_r^2
-  Kronecker matrix is inverted once per system, and every further
-  right-hand side is one product with that inverse; a system whose exact
-  1-norm condition exceeds ``CONDITION_LIMIT`` is singular, and a step that
-  misses its residual check is refined once); the solution is renormalized
-  to unit Frobenius norm with alpha restored from the transmit power
-  constraint tr(F G_r F^H) = n_r pr (the physical F is invariant to that
-  rescaling);
+  is solved as one dense system (:class:`RelaySystem`: its Kronecker matrix,
+  (2 n_s)^2 square on the equivalent problem below, is inverted once per
+  system, and every further right-hand side is one product with that inverse;
+  a system whose exact 1-norm condition exceeds ``CONDITION_LIMIT`` is
+  singular, and a step that misses its residual check is refined once);
+  the solution is renormalized to unit Frobenius norm with alpha restored
+  from the transmit power constraint tr(F G_r F^H) = n_r pr (the physical F
+  is invariant to that rescaling);
 * receive step: per-source regularized Wiener inverse.
 
 The sum MSE and the transmit power see F only through H_r1 F, H_r2 F and
@@ -28,10 +28,11 @@ either raises neither the sum MSE nor the power.  This is the
 channel-aligned structure of the optimal AF MIMO relay on both sides (Rong,
 Tang and Hua, IEEE Trans. Signal Process. 57(12), 2009).
 :func:`design_slot_batch` therefore designs Z on the equivalent
-2 n_s-antenna problem (:meth:`SlotProblem.reduced`) and lifts
-F_bar = Q Z P^H once, when it returns; its relay system has (2 n_s)^2
-unknowns whatever n_r is, and keeps no directions in which only the noise
-term acts.  With n_r <= 2 n_s the reduction is the identity.
+2 n_s-antenna problem (:meth:`SlotProblem.reduced`) and returns Z with the
+bases Q and P; :attr:`BatchDesign.f_bar` lifts F_bar = Q Z P^H where a caller
+reads it.  Its relay system has (2 n_s)^2 unknowns whatever n_r is, and
+keeps no directions in which only the noise term acts.  With n_r <= 2 n_s
+the reduction is the identity.
 
 Both steps and the sum MSE exist once, batched over realizations, in
 :class:`SlotProblem` and :class:`RelaySystem`; the per-realization functions
@@ -262,25 +263,31 @@ def _hessian_index(n_s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _replace_rows(stack, rows):
-    """``stack``, a dataclass of per-realization arrays (and possibly ``cfg``),
+    """``stack``, a dataclass of per-realization arrays (and possibly ``cfg`` and None),
     with each array field replaced by ``rows(name)``."""
-    return replace(stack, **{f.name: rows(f.name) for f in fields(stack) if f.name != "cfg"})
+    return replace(stack, **{f.name: rows(f.name) for f in fields(stack)
+                             if f.name != "cfg" and getattr(stack, f.name) is not None})
 
 
 @dataclass
 class BatchDesign:
     """Per-slot designs of a stack of realizations (leading axis).
 
+    ``z`` is on the equivalent problem of :meth:`SlotProblem.reduced`, with bases ``q``, ``p`` (or None).
     ``j_trace`` has one column per iteration (column 0 is the projected
     identity start); columns after a realization's exit are NaN.
     """
 
-    f_bar: np.ndarray
+    z: np.ndarray
+    q: np.ndarray | None
+    p: np.ndarray | None
     alpha: np.ndarray
     r: np.ndarray  # (R, 2, n_s, n_s): R_1, R_2
     j: np.ndarray
     iterations_used: np.ndarray
     j_trace: np.ndarray
+
+    f_bar = property(lambda self: _lift(self.z, self.q, self.p))  # F_bar = Q Z P^H, (R, n_r, n_r)
 
     def solution(self, index: int, cfg: SystemConfig) -> BeamformingSolution:
         """Realization ``index`` as a :class:`BeamformingSolution`."""
@@ -315,10 +322,10 @@ class SlotProblem:
     1: source 2) second: ``h`` holds H_r1, H_r2 (n_s x n_r), ``h_bar`` the
     previous slot's inbound channel of the *other* source (H_2r for source 1,
     H_1r for source 2), ``g`` the relay-input covariances G_1, G_2 seen by
-    each estimate and ``gr`` the one of the transmit power.  Every steering
-    matrix is n_r x n_r.  :func:`design_slot_batch` designs on the
-    equivalent problem of :meth:`reduced`, whose n_r is 2 n_s whenever the
-    configured one is larger (see the module docstring).
+    each estimate and ``gr`` the one of the transmit power.  A steering
+    matrix is n_r x n_r for the problem's own n_r: :func:`design_slot_batch`
+    designs on the equivalent problem of :meth:`reduced`, whose n_r is 2 n_s
+    whenever the configured one is larger (see the module docstring).
     """
 
     # the inputs and derived arrays with a realization axis; subsets share the others
@@ -371,6 +378,7 @@ class SlotProblem:
         rows = {name: getattr(self, name)[keep] for name in self._ROWS}
         sub = object.__new__(SlotProblem)
         vars(sub).update(vars(self), **rows)
+        vars(sub).pop("_reduction", None)  # the parent's, for all its rows
         return sub
 
     def reduced(self) -> tuple["SlotProblem", np.ndarray | None, np.ndarray | None]:
@@ -383,11 +391,13 @@ class SlotProblem:
         p_r = p_r n_r / (2 n_s) keeps the budget n_r p_r, and its noise and
         residual-SI scale are this problem's.  Its sum MSE, power and relay
         system at Z are this problem's at Q Z P^H.  Householder Q and P span
-        the ranges also when a stack is rank-deficient.
+        the ranges also when a stack is rank-deficient.  Computed once per problem.
         """
+        return (self, None, None) if self.cfg.n_r <= 2 * self.cfg.n_s else self._reduction
+
+    @cached_property
+    def _reduction(self) -> tuple["SlotProblem", np.ndarray, np.ndarray]:
         cfg, size, n_s, d = self.cfg, len(self.h), self.cfg.n_s, 2 * self.cfg.n_s
-        if cfg.n_r <= d:
-            return self, None, None
         h_in = np.concatenate([self.h_1r_prev, self.h_2r_prev], axis=2)
         qp, tu = np.linalg.qr(np.stack([herm(self.h.reshape(size, d, cfg.n_r)), h_in], axis=1))
         q, p, h_out, u = qp[:, 0], qp[:, 1], herm(tu[:, 0]), tu[:, 1].copy()  # the copy lets T go with tu
@@ -756,8 +766,8 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     batch.  With ``pin_receive`` the receive matrices stay at identity and
     the relay step, exact for fixed receive matrices, is the whole design.
     Every iteration runs on the equivalent problem of
-    :meth:`SlotProblem.reduced`; of the reduction only the bases Q and P
-    are kept, to lift the returned steering matrices to F_bar = Q Z P^H.
+    :meth:`SlotProblem.reduced`, and the design is returned there: Z with
+    the bases Q and P that lift it to F_bar = Q Z P^H.
     """
     cfg, n_s = problem.cfg, problem.cfg.n_s
     size = problem.h.shape[0]
@@ -774,11 +784,11 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
         j = problem.objective(f_bar, alpha, r)
         used = 1 if cfg.max_iterations == 1 else (2 if tol > 0 else cfg.max_iterations)
         j_trace[:, 1:used + 1] = j[:, None]
-        return BatchDesign(_lift(f_bar, q, p), alpha, r, j, np.full(size, used), j_trace)
+        return BatchDesign(f_bar, q, p, alpha, r, j, np.full(size, used), j_trace)
     alpha, r, j = problem.receive(f_bar)
     j_trace[:, 1] = j
 
-    out = BatchDesign(f_bar.copy(), alpha.copy(), r.copy(), j.copy(),
+    out = BatchDesign(f_bar.copy(), q, p, alpha.copy(), r.copy(), j.copy(),
                       np.full(size, cfg.max_iterations), j_trace)
     active = np.arange(size)
     done = np.abs(j - j_trace[:, 0]) < tol * np.maximum(1.0, np.abs(j_trace[:, 0]))
@@ -786,7 +796,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     for iteration in range(2, cfg.max_iterations + 1):
         if done.any():
             finished = active[done]
-            out.f_bar[finished], out.alpha[finished] = f_bar[done], alpha[done]
+            out.z[finished], out.alpha[finished] = f_bar[done], alpha[done]
             out.r[finished], out.j[finished] = r[done], j[done]
             out.iterations_used[finished] = iteration - 1
             keep = ~done
@@ -799,8 +809,7 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
         done = np.abs(j - j_before) < tol * np.maximum(1.0, np.abs(j_before))
         out.j_trace[active, iteration] = j
     else:
-        out.f_bar[active], out.alpha[active], out.r[active], out.j[active] = f_bar, alpha, r, j
-    out.f_bar = _lift(out.f_bar, q, p)
+        out.z[active], out.alpha[active], out.r[active], out.j[active] = f_bar, alpha, r, j
     return out
 
 

@@ -69,18 +69,18 @@ class SystemConfig:
         if self.n_s < 1 or self.n_r < 1:
             raise ValueError("antenna counts must be >= 1")
         for name in ("p1", "p2", "pr"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         for name in (
             "sigma_n_sq_1", "sigma_n_sq_2", "sigma_n_sq_r",
             "sigma_e_sq_1", "sigma_e_sq_2", "sigma_e_sq_r",
         ):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         check_memory(self.memory)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol < 0:
+        if not self.convergence_tol >= 0:
             raise ValueError("convergence_tol must be nonnegative")
 
     @property

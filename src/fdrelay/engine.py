@@ -25,15 +25,14 @@ Each formula of a slot exists once, batched over realizations: the design,
 the true MSE and the Wiener receivers in :class:`fdrelay.beamforming.SlotProblem`
 and :class:`fdrelay.beamforming.RelaySystem`, the residual-SI scale in
 :func:`fdrelay.si_propagation.residual_si_scale`, the rate in
-:func:`_batch_rates`.  Each carried quantity follows one recursion per slot:
-the scale folds the previous slot's traces, and the realized relay-side
-interference is rolled forward by :func:`_relay_interference` (fresh noise
-plus the previous transmission through the realized loopback error) and
-:func:`_relay_transmission` (the beamformer applied to the sources' signals
-and that interference).  The per-realization entry points of ``beamforming``,
-``si_propagation`` and ``metrics`` call the same code with a stack of one.
-Independent checks are the sampling oracles in :mod:`fdrelay.validation` and
-the hand-written formulas in the tests.
+:func:`_batch_rates`.  A slot is scored, rated and carried on the equivalent
+2 n_s-antenna problem its design solved (``SlotProblem.reduced``): n_r
+enters only through the draws, the bases Q and P (n_r x 2 n_s) and the
+slot's realized leak into the next.  The relay-side interference is one
+square Gram factor, fresh noise plus that leak.  Independent checks are
+:func:`fdrelay.metrics.achievable_sum_rate` and
+:func:`fdrelay.si_propagation.residual_si_covariance` in full n_r
+coordinates, the oracles of :mod:`fdrelay.validation` and the tests.
 
 Scheme semantics:
 
@@ -102,29 +101,12 @@ def _draw_stacked(cfg: SystemConfig, seed: int, slot: int, realizations: Sequenc
     return draw_slot_channels(cfg, [slot_rng(seed, r, slot) for r in realizations], slot)
 
 
-def _relay_interference(cfg: SystemConfig, ch_prev: TimeSlotChannels, x_r_factor) -> np.ndarray:
-    """Gram factor of a slot's relay-side interference: fresh relay noise sigma_nr I plus
-    the previous slot's transmission ``x_r_factor`` leaked through its realized
-    relay loopback error (none before the first full-duplex slot, nor without
-    relay loopback error)."""
-    noise = math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(cfg.n_r), (len(ch_prev.h_1r), cfg.n_r, cfg.n_r))
-    if x_r_factor is None or cfg.sigma_e_sq_r == 0:
-        return noise
-    return np.concatenate([noise, ch_prev.delta_rr @ x_r_factor], axis=2)
-
-
-def _relay_transmission(cfg: SystemConfig, ch_prev: TimeSlotChannels, core: np.ndarray, f) -> np.ndarray:
-    """Gram factor F [sqrt(p1) H1, sqrt(p2) H2, core] of the relay's transmission
-    in a slot: the sources' previous-slot signals plus the interference ``core``."""
-    return f @ np.concatenate([math.sqrt(cfg.p1) * ch_prev.h_1r, math.sqrt(cfg.p2) * ch_prev.h_2r, core], axis=2)
-
-
 def _batch_rates(problem: SlotProblem, delta_11, delta_22, core_factor, f_bar, alpha, r) -> np.ndarray:
     """Batched rates (R, 2) of the streams decoded at source 1 and source 2.
 
-    The channels are those of the slot's design ``problem``, ``delta_11`` and
-    ``delta_22`` the sources' realized loopback errors and ``core_factor`` the
-    Gram factor of the relay-side interference.
+    ``f_bar`` and ``core_factor``, the Gram factor of the relay-side
+    interference, are in the coordinates of ``problem``; ``delta_11`` and
+    ``delta_22`` are the sources' realized loopback errors.
     Covariances are carried as Gram factors N N^H and S S^H, and each rate
     log2 det(I + S S^H (N N^H)^-1) is computed in the whitened factor domain,
     from the singular values of (U_N^H S) / s_N, where N = U_N diag(s_N) V^H.
@@ -157,9 +139,10 @@ class _TrajectoryState:
     """A stack of trajectories run up to some slot, resumable and forkable.
 
     Holds what the slot loop carries from one slot to the next: the stacked
-    channel draws (at least of slots 0..``slot``), per past slot the beamformer's
-    squared norm tr(F_s F_s^H) and content trace tr(F_s M_{s-1} F_s^H), the
-    Gram factor of the previous slot's relay transmission, and the per-slot
+    channel draws (of slots 0..``slot`` once advanced), per past slot the
+    beamformer's squared norm tr(F_s F_s^H) and content trace
+    tr(F_s M_{s-1} F_s^H), the Gram factor ``leak`` (n_r x 4 n_s at most)
+    of the last transmission through the relay loopback error, and the per-slot
     outputs: entry k of ``sum_mse``, ``rates`` (R, 2: the rates of the
     streams decoded at source 1 and source 2) and ``designs`` belongs to
     slot k+1, and a design carries the applied amplification and receive
@@ -172,13 +155,13 @@ class _TrajectoryState:
     fork reaches a slot first draws it for all.
     """
 
-    def __init__(self, cfg: SystemConfig, seed: int, realizations: Sequence[int]):
+    def __init__(self, seed: int, realizations: Sequence[int]):
         self.seed = seed
         self.realizations = realizations
-        self.channels = [_draw_stacked(cfg, seed, 0, realizations)]
+        self.channels: list[TimeSlotChannels] = []
         self.f_norm_sq: tuple[np.ndarray, ...] = ()
         self.content_trace: tuple[np.ndarray, ...] = ()
-        self.x_r_factor = None
+        self.leak = None
         self.sum_mse: tuple[np.ndarray, ...] = ()
         self.rates: tuple[np.ndarray, ...] = ()
         self.designs: tuple[BatchDesign, ...] = ()
@@ -197,9 +180,8 @@ class _TrajectoryState:
         ``cfg`` may differ between calls only in its memory setting: the
         channel draws do not depend on it.  A half-duplex trajectory runs
         under ``cfg`` without loopback error and with infinite memory: its
-        draws from slot 1 on carry zero error matrices (slot 0's, drawn with
-        the state, are never read), and its design sees the whole, zero,
-        residual SI.  The slots to run are drawn
+        draws, slot 0's included, carry zero error matrices, and its design
+        sees the whole, zero, residual SI.  The slots not yet drawn are drawn
         first, then run in chunks of one slot for ``MEMORY_SCHEMES`` (slot
         t+1's problem reads slot t's score), else of ``max(1, _STACK_ROWS // R)``.
         """
@@ -225,11 +207,12 @@ class _TrajectoryState:
     def _run(self, cfg: SystemConfig, scheme: str, slots: range):
         """Design ``slots`` of ``scheme`` in one call, then score them in slot order."""
         size = len(self.realizations)
-        problems = [self._problem(cfg, scheme, t) for t in slots]
-        design = self._design(SlotProblem.stack(problems), slots[0], scheme == "relay_only")
+        problem = SlotProblem.stack([self._problem(cfg, scheme, t) for t in slots])
+        design = self._design(problem, slots[0], scheme == "relay_only")
+        reduced = problem.reduced()[0]
         for k, t in enumerate(slots):
-            slot_design = design if len(slots) == 1 else design.subset(slice(k * size, (k + 1) * size))
-            self._score(cfg, scheme, t, problems[k], slot_design)
+            rows = slice(k * size, (k + 1) * size)
+            self._score(cfg, scheme, t, reduced.subset(rows), design.subset(rows))
 
     def _design(self, problem: SlotProblem, first_slot: int, pin_receive: bool = False) -> BatchDesign:
         """The designs of rows (slot, realization), slot-major from ``first_slot``.  On a singular relay
@@ -247,36 +230,44 @@ class _TrajectoryState:
             raise
 
     def _score(self, cfg: SystemConfig, scheme: str, t: int, problem: SlotProblem, design: BatchDesign):
-        """Score slot ``t``, designed as ``design`` on ``problem``, record it and roll it forward."""
-        ch_t, ch_prev = self.channels[t], self.channels[t - 1]
-        f_bar, alpha, r = design.f_bar, design.alpha, design.r
+        """Score slot ``t``, designed as ``design`` on ``problem``, the equivalent problem it solved, record
+        it and roll it forward."""
+        ch_t = self.channels[t]
+        z, alpha, r = design.z, design.alpha, design.r
 
         # The memory window first truncates the design's scale at slot m+2;
         # before that the design already saw the true (untruncated) scale.
         if scheme != "conventional" and t < cfg.memory + 2:
             j_true = design.j
         else:
-            g_true = residual_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, len(f_bar))
+            g_true = residual_si_scale(cfg, MEMORY_INFINITE, t, self.f_norm_sq, self.content_trace, len(z))
             true_problem = replace(problem, g_c_scale=g_true)
             if scheme == "conventional":
                 # gain control: the true transmit power meets the budget even
                 # though the design modeled no residual interference; the
                 # receive matrices are re-derived at the calibrated beamformer
-                alpha = true_problem.amplification(f_bar)
-                r = problem.wiener(alpha[:, None, None] * f_bar, alpha)[0]
-            j_true = true_problem.objective(f_bar, alpha, r)
-        f = alpha[:, None, None] * f_bar
+                alpha = true_problem.amplification(z)
+                r = problem.wiener(alpha[:, None, None] * z, alpha)[0]
+            j_true = true_problem.objective(z, alpha, r)
+        f = alpha[:, None, None] * z
 
-        core = _relay_interference(cfg, ch_prev, self.x_r_factor)
-        rates = _batch_rates(problem, ch_t.delta_11, ch_t.delta_22, core, f_bar, alpha, r)
+        core = math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(z.shape[-1]), z.shape)  # fresh relay noise
+        if self.leak is not None:  # and the last slot's leak, seen through P; one QR keeps the factor square
+            seen = self.leak if design.p is None else herm(design.p) @ self.leak
+            core = herm(np.linalg.qr(herm(np.concatenate([core, seen], axis=2)), mode="r"))
+        rates = _batch_rates(problem, ch_t.delta_11, ch_t.delta_22, core, z, alpha, r)
         if scheme == "half_duplex":
             rates = 0.5 * rates  # the prelog of the two-phase exchange
         self.sum_mse += (j_true,)
         self.rates += (rates,)
         self.designs += (replace(design, alpha=alpha, r=r),)
-        self.x_r_factor = _relay_transmission(cfg, ch_prev, core, f)
+        h_1r, h_2r = problem.h_1r_prev, problem.h_2r_prev
+        if cfg.sigma_e_sq_r:
+            # F [sqrt(p1) H1, sqrt(p2) H2, noise + leak] = Q alpha Z [sqrt(p1) U1, sqrt(p2) U2, core], U_l = P^H H_l
+            sent = f @ np.concatenate([math.sqrt(cfg.p1) * h_1r, math.sqrt(cfg.p2) * h_2r, core], axis=2)
+            self.leak = ch_t.delta_rr @ (sent if design.q is None else design.q @ sent)
         self.f_norm_sq += (fro_sq(f),)
-        self.content_trace += (content_trace(cfg, f, ch_prev.h_1r, ch_prev.h_2r),)
+        self.content_trace += (content_trace(cfg, f, h_1r, h_2r),)
 
 
 def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
@@ -284,7 +275,7 @@ def _run_trajectories(cfg: SystemConfig, scheme: str, slots: int, seed: int,
     """The slot loop for the realizations with the given indices, batched."""
     if slots < 1:
         raise ValueError("need at least one full-duplex slot")
-    return _TrajectoryState(cfg, seed, realizations).advance(cfg, scheme, slots)
+    return _TrajectoryState(seed, realizations).advance(cfg, scheme, slots)
 
 
 def run_trajectories_batch(

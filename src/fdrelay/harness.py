@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -69,7 +70,8 @@ class SweepSpec:
                 raise ValueError(f"{name} repeats a value: {values}")
         if self.realizations < 1 or self.slots < 1:
             raise ValueError("realizations and slots must be >= 1")
-        self.config(self.snr_db[0], self.inr_db[0])
+        for snr_db, inr_db in itertools.product(self.snr_db, self.inr_db):
+            self.config(snr_db, inr_db)
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes {sorted(unknown)}; valid: {SCHEMES}")

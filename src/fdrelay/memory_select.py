@@ -83,7 +83,7 @@ def select_memory(
     """
     if realizations < 1:
         raise ValueError("need at least one realization")
-    shared = _TrajectoryState(cfg, seed, range(realizations))
+    shared = _TrajectoryState(seed, range(realizations))
     cfg_shared = cfg.with_memory(MEMORY_INFINITE)
     probes: list[MemoryProbe] = []
     for candidate in range(1, max_candidate + 1):

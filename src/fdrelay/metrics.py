@@ -6,27 +6,26 @@ matrices (its own current one and the relay's past ones through the amplified
 chains), while symbols and thermal noises are averaged analytically.  Ensemble
 averages are taken by the sweep harness across channel realizations.
 
-The rate formula exists once, batched, in :func:`fdrelay.engine._batch_rates`,
-and the relay-side interference it reads is rolled forward slot by slot by
-the engine's :func:`fdrelay.engine._relay_interference` and
-:func:`fdrelay.engine._relay_transmission`.  :func:`achievable_sum_rate` rolls
-the same two steps over one realization's trajectory and calls the batched
-rate with a stack of one; :func:`half_duplex_reference` designs and rates one
-slot, a stack of one, as the engine does for a half-duplex trajectory, which
-runs the full-duplex slot loop without loopback error.  Independent checks of
-the rate are the hand-written log-det formulas in the tests.
+The rate formula exists once, batched, in :func:`fdrelay.engine._batch_rates`.
+The engine rates every slot on the equivalent 2 n_s-antenna problem its
+design solved; :func:`achievable_sum_rate`, its independent check, rolls one
+realization's relay-side interference in full n_r coordinates through the
+applied beamformers and rates on the configured problem, a stack of one.
+:func:`half_duplex_reference` runs one slot of the engine's half-duplex
+trajectory, which is the full-duplex slot loop without loopback error.  Independent checks of the rate are the
+hand-written log-det formulas in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .beamforming import BeamformingSolution, SlotProblem, design_slot_batch
+from .beamforming import BeamformingSolution, SlotProblem
 from .channel import SystemConfig, TimeSlotChannels
-from .engine import _batch_rates, _relay_interference, _relay_transmission
+from .engine import _batch_rates, _TrajectoryState
 
 __all__ = [
     "SlotMetrics",
@@ -68,19 +67,20 @@ def achievable_sum_rate(
     through the realized relay-error chains, the current source loopback error
     and thermal noise; the desired stream is the other source's previous-slot
     signal through the current steering matrix.  All covariances are carried
-    as Gram factors.
+    as Gram factors, in full n_r coordinates.
     """
     t = len(beamformers)
     if len(channels) != t + 1:
         raise ValueError("need channels for slots 0..t and beamformers for slots 1..t")
     stacks = [TimeSlotChannels.stack([ch]) for ch in channels]
 
-    # Relay-side interference factor, rolled forward through the realized
-    # relay errors; identical for both sources.
-    core = _relay_interference(cfg, stacks[0], None)
+    # Relay-side interference factor: fresh noise plus the previous slot's transmission
+    # F [sqrt(p1) H1, sqrt(p2) H2, interference] through the realized relay error.
+    core = noise = np.sqrt(cfg.sigma_n_sq_r) * np.eye(cfg.n_r)[None]
     for s in range(1, t):
-        x_r_factor = _relay_transmission(cfg, stacks[s - 1], core, beamformers[s - 1])
-        core = _relay_interference(cfg, stacks[s], x_r_factor)
+        inbound = [np.sqrt(cfg.p1) * stacks[s - 1].h_1r, np.sqrt(cfg.p2) * stacks[s - 1].h_2r, core]
+        core = np.concatenate([noise, stacks[s].delta_rr @ beamformers[s - 1] @ np.concatenate(inbound, axis=2)],
+                              axis=2)
     problem = SlotProblem.from_draws(cfg, stacks[t], stacks[t - 1], np.zeros(1))
     rates = _batch_rates(problem, stacks[t].delta_11, stacks[t].delta_22, core, solution.f_bar[None],
                          np.array([solution.alpha]), np.stack([solution.r1, solution.r2])[None])
@@ -99,16 +99,14 @@ def half_duplex_reference(
     is no loopback self-interference, so the design is the single-slot MMSE
     problem with all error variances zeroed, the receivers see fresh noise
     only, and the sum rate carries the 1/2 prelog of the two-slot exchange:
-    a slot of the engine's half-duplex trajectory, for a stack of one.
+    slot 1 of the engine's half-duplex trajectory on these draws (with the
+    source loopback errors of ``ch_bc`` zeroed), for a stack of one.
     """
-    cfg = cfg.without_loopback_error()
-    mac, bc = TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc])
-    problem = SlotProblem.from_draws(cfg, bc, mac, np.zeros(1))
-    design = design_slot_batch(problem)
-    no_error = np.zeros((1, cfg.n_s, cfg.n_s), dtype=complex)
-    rates = 0.5 * _batch_rates(problem, no_error, no_error, _relay_interference(cfg, mac, None),
-                               design.f_bar, design.alpha, design.r)
-    return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", design.j[0], rates[0])
+    zero = np.zeros_like(ch_bc.delta_11)
+    state = _TrajectoryState(None, [0])  # given its draws, it draws none
+    state.channels = [TimeSlotChannels.stack([ch]) for ch in (ch_mac, replace(ch_bc, delta_11=zero, delta_22=zero))]
+    state.advance(cfg, "half_duplex", 1)
+    return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", state.sum_mse[0][0], state.rates[0][0])
 
 
 def duplex_mode_select(fd_rate: float, hd_rate: float) -> str:

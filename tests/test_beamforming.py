@@ -490,7 +490,7 @@ def test_exactly_singular_relay_system_names_its_slot_and_realization():
         assert info.value.condition == np.inf
     for row in (0, 2):
         design_slot_batch(problem.subset([row]))
-    state = engine._TrajectoryState(cfg, 0, [4, 7, 9])
+    state = engine._TrajectoryState(0, [4, 7, 9])
     with pytest.raises(SingularSystemError, match="^relay step of slot 2, realization 7: singular system "
                                                   r"\(condition estimate inf\)$") as info:
         state._design(problem, 2)

@@ -35,6 +35,12 @@ def test_inr_minus_infinity_turns_errors_off():
     assert cfg.sigma_e_sq_r == 0.0
 
 
+@pytest.mark.parametrize("name", ["pr", "sigma_n_sq_r", "sigma_e_sq_1", "convergence_tol"])
+def test_nan_config_values_are_rejected(name):
+    with pytest.raises(ValueError, match=name):
+        SystemConfig(n_s=1, n_r=2, **{name: math.nan})
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SystemConfig(n_s=0, n_r=2)

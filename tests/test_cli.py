@@ -162,6 +162,18 @@ def test_bad_spec_value_is_a_usage_error(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--snr-db", "--inr-db"])
+def test_nan_grid_value_is_a_usage_error(tmp_path, capsys, flag):
+    # every grid value is checked before anything runs, not only the first
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep", "--snr-db", "0", "--inr-db", "0", flag, "0,nan", "--out", str(out)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fdrelay sweep: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_exit_codes_through_the_module(tmp_path):
     # 0 when every cell succeeds, 1 when a cell fails (a noise-free SNR leaves the
     # rate's interference covariance singular), 2 for a usage error

@@ -7,6 +7,7 @@ import pytest
 
 from fdrelay import engine
 from fdrelay.beamforming import (
+    SlotProblem,
     build_slot_operators,
     evaluate_sum_mse,
     solve_receive_beamformers,
@@ -160,8 +161,8 @@ def _rates_per_receiver(problem, delta_11, delta_22, core_factor, f_bar, alpha, 
                                                   ("half_duplex", 3)])
 def test_rates_of_both_receivers_equal_one_pass_per_receiver(monkeypatch, scheme, realizations):
     # Both receivers run in one stacked pass; each must equal its own pass bit
-    # for bit, also once the carried interference factor grows with the slots
-    # (its width at slot 6 is n_r + 5 (n_r + 2 n_s)).
+    # for bit, also at later slots, whose interference factor carries every
+    # earlier slot yet stays square, never wider than min(n_r, 2 n_s).
     calls = []
     real = engine._batch_rates
 
@@ -174,7 +175,7 @@ def test_rates_of_both_receivers_equal_one_pass_per_receiver(monkeypatch, scheme
     cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=4)
     _run_trajectories(cfg, scheme, 6, 3, range(realizations))
     assert len(calls) == 6 or scheme == "half_duplex"
-    assert max(args[3].shape[-1] for args, _ in calls) == (4 if scheme == "half_duplex" else 4 + 5 * 8)
+    assert max(args[3].shape[-1] for args, _ in calls) <= min(cfg.n_r, 2 * cfg.n_s)
     for args, rates in calls:
         assert np.array_equal(rates, _rates_per_receiver(*args))
 
@@ -356,3 +357,55 @@ def test_half_duplex_slots_equal_the_per_slot_reference():
             reference = half_duplex_reference(traj.channels[t - 1], traj.channels[t], cfg)
             assert metrics.sum_mse == reference.sum_mse == batch.sum_mse[t - 1, r], (r, t)
             assert metrics.sum_rate == reference.sum_rate == batch.sum_rate[t - 1, r], (r, t)
+
+
+def test_half_duplex_draws_carry_no_loopback_error():
+    # slot 0 included: the trajectory draws every slot under the configuration without loopback error
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=5)
+    for ch in run_trajectory(cfg, "half_duplex", slots=3, seed=4).channels:
+        assert not (ch.delta_11.any() or ch.delta_22.any() or ch.delta_rr.any()), ch.slot_index
+
+
+def test_slots_are_scored_and_rated_on_the_equivalent_problem(monkeypatch):
+    # n_r = 12 > 2 n_s = 4: after the design, no array the rate sees has an axis of size n_r, and
+    # every slot problem built while scoring (the true-scale one) is the 4-antenna equivalent problem
+    rate_shapes, scoring, scored_sizes = [], [], []
+    real_rates, real_score, real_post_init = engine._batch_rates, engine._TrajectoryState._score, SlotProblem.__post_init__
+
+    def recording_rates(*args):
+        rate_shapes.extend(np.shape(arg) for arg in args[1:])
+        rate_shapes.extend(np.shape(getattr(args[0], name)) for name in ("h", "h_bar", "g"))
+        return real_rates(*args)
+
+    def recording_score(*args):
+        scoring.append(True)
+        try:
+            return real_score(*args)
+        finally:
+            scoring.pop()
+
+    def recording_post_init(problem):
+        if scoring:
+            scored_sizes.append(problem.cfg.n_r)
+        real_post_init(problem)
+
+    monkeypatch.setattr(engine, "_batch_rates", recording_rates)
+    monkeypatch.setattr(engine._TrajectoryState, "_score", recording_score)
+    monkeypatch.setattr(SlotProblem, "__post_init__", recording_post_init)
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=12)
+    for scheme in engine.SCHEMES:
+        run_trajectories_batch(cfg, scheme, slots=4, seed=8, realizations=2)
+    assert len(rate_shapes) == 4 * 4 * 9 and all(12 not in shape for shape in rate_shapes)
+    assert scored_sizes and set(scored_sizes) == {4}
+
+
+def test_carried_state_does_not_grow_with_the_slots():
+    # the leak carried to the next slot and every stored design keep the shapes of slot 2 at slot 200
+    cfg = config_from_snr_inr(10.0, 0.0, n_s=2, n_r=8)
+    state = _run_trajectories(cfg, "proposed", 2, 5, [0])
+    leak, design = state.leak.shape, {name: np.shape(value) for name, value in vars(state.designs[1]).items()}
+    state.advance(cfg, "proposed", 200)
+    assert state.leak.shape == leak and leak[-1] <= 4 * cfg.n_s
+    for stored in state.designs:
+        assert {name: np.shape(value) for name, value in vars(stored).items()} == design
+    assert np.isfinite(np.stack(state.sum_mse)).all() and np.isfinite(np.stack(state.rates)).all()
