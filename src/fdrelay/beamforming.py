@@ -29,8 +29,8 @@ channel-aligned structure of the optimal AF MIMO relay on both sides (Rong,
 Tang and Hua, IEEE Trans. Signal Process. 57(12), 2009).
 :func:`design_slot_batch` therefore designs Z on the equivalent
 2 n_s-antenna problem (:meth:`SlotProblem.reduced`) and returns Z with the
-bases Q and P; :attr:`BatchDesign.f_bar` lifts F_bar = Q Z P^H where a caller
-reads it.  Its relay system has (2 n_s)^2 unknowns whatever n_r is, and
+bases Q and P; :meth:`BatchDesign.solution` lifts one realization's
+F_bar = Q Z P^H.  Its relay system has (2 n_s)^2 unknowns whatever n_r is, and
 keeps no directions in which only the noise term acts.  With n_r <= 2 n_s
 the reduction is the identity.
 
@@ -273,9 +273,9 @@ def _replace_rows(stack, rows):
 class BatchDesign:
     """Per-slot designs of a stack of realizations (leading axis).
 
-    ``z`` is on the equivalent problem of :meth:`SlotProblem.reduced`, with bases ``q``, ``p`` (or None).
-    ``j_trace`` has one column per iteration (column 0 is the projected
-    identity start); columns after a realization's exit are NaN.
+    ``z`` is on the equivalent problem of :meth:`SlotProblem.reduced`, with
+    bases ``q``, ``p`` (or None); ``j_trace`` has one column per iteration
+    (column 0 is the projected identity start), NaN after a realization's exit.
     """
 
     z: np.ndarray
@@ -287,11 +287,11 @@ class BatchDesign:
     iterations_used: np.ndarray
     j_trace: np.ndarray
 
-    f_bar = property(lambda self: _lift(self.z, self.q, self.p))  # F_bar = Q Z P^H, (R, n_r, n_r)
-
     def solution(self, index: int, cfg: SystemConfig) -> BeamformingSolution:
-        """Realization ``index`` as a :class:`BeamformingSolution`."""
-        f_bar, alpha, r = self.f_bar[index], float(self.alpha[index]), self.r[index]
+        """Realization ``index`` as a :class:`BeamformingSolution`, its steering matrix lifted to
+        F_bar = Q Z P^H."""
+        q, p = (None, None) if self.q is None else (self.q[index], self.p[index])
+        f_bar, alpha, r = _lift(self.z[index], q, p), float(self.alpha[index]), self.r[index]
         used = int(self.iterations_used[index])
         return BeamformingSolution(
             f_bar=f_bar,

@@ -7,25 +7,26 @@ chains), while symbols and thermal noises are averaged analytically.  Ensemble
 averages are taken by the sweep harness across channel realizations.
 
 The rate formula exists once, batched, in :func:`fdrelay.engine._batch_rates`.
-The engine rates every slot on the equivalent 2 n_s-antenna problem its
-design solved; :func:`achievable_sum_rate`, its independent check, rolls one
-realization's relay-side interference in full n_r coordinates through the
-applied beamformers and rates on the configured problem, a stack of one.
-:func:`half_duplex_reference` runs one slot of the engine's half-duplex
-trajectory, which is the full-duplex slot loop without loopback error.  Independent checks of the rate are the
-hand-written log-det formulas in the tests.
+The engine and :func:`half_duplex_reference` rate a slot on the equivalent
+2 n_s-antenna problem its design solved (``SlotProblem.reduced``), where the
+relay-side interference factor and the steering matrix Z have 2 n_s rows
+whatever n_r is.  :func:`achievable_sum_rate`, their independent check,
+rolls one realization's relay-side interference in full n_r coordinates
+through the applied beamformers and rates on the configured problem, a
+stack of one.  Independent checks of the rate formula are the hand-written
+log-det formulas in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .beamforming import BeamformingSolution, SlotProblem
+from .beamforming import BeamformingSolution, SlotProblem, design_slot_batch
 from .channel import SystemConfig, TimeSlotChannels
-from .engine import _batch_rates, _TrajectoryState
+from .engine import _batch_rates
 
 __all__ = [
     "SlotMetrics",
@@ -77,10 +78,9 @@ def achievable_sum_rate(
     # Relay-side interference factor: fresh noise plus the previous slot's transmission
     # F [sqrt(p1) H1, sqrt(p2) H2, interference] through the realized relay error.
     core = noise = np.sqrt(cfg.sigma_n_sq_r) * np.eye(cfg.n_r)[None]
-    for s in range(1, t):
-        inbound = [np.sqrt(cfg.p1) * stacks[s - 1].h_1r, np.sqrt(cfg.p2) * stacks[s - 1].h_2r, core]
-        core = np.concatenate([noise, stacks[s].delta_rr @ beamformers[s - 1] @ np.concatenate(inbound, axis=2)],
-                              axis=2)
+    for prev, ch, f in zip(stacks, stacks[1:t], beamformers):
+        inbound = [np.sqrt(cfg.p1) * prev.h_1r, np.sqrt(cfg.p2) * prev.h_2r, core]
+        core = np.concatenate([noise, ch.delta_rr @ f @ np.concatenate(inbound, axis=2)], axis=2)
     problem = SlotProblem.from_draws(cfg, stacks[t], stacks[t - 1], np.zeros(1))
     rates = _batch_rates(problem, stacks[t].delta_11, stacks[t].delta_22, core, solution.f_bar[None],
                          np.array([solution.alpha]), np.stack([solution.r1, solution.r2])[None])
@@ -98,15 +98,19 @@ def half_duplex_reference(
     the relay broadcasts in the second (``ch_bc`` outbound channels).  There
     is no loopback self-interference, so the design is the single-slot MMSE
     problem with all error variances zeroed, the receivers see fresh noise
-    only, and the sum rate carries the 1/2 prelog of the two-slot exchange:
-    slot 1 of the engine's half-duplex trajectory on these draws (with the
-    source loopback errors of ``ch_bc`` zeroed), for a stack of one.
+    only, and the sum rate carries the 1/2 prelog of the two-slot exchange.
+    The slot is designed and rated on its equivalent 2 n_s-antenna problem,
+    as the engine does a slot of a half-duplex trajectory, for a stack of one.
     """
-    zero = np.zeros_like(ch_bc.delta_11)
-    state = _TrajectoryState(None, [0])  # given its draws, it draws none
-    state.channels = [TimeSlotChannels.stack([ch]) for ch in (ch_mac, replace(ch_bc, delta_11=zero, delta_22=zero))]
-    state.advance(cfg, "half_duplex", 1)
-    return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", state.sum_mse[0][0], state.rates[0][0])
+    cfg = cfg.without_loopback_error()
+    mac, bc = TimeSlotChannels.stack([ch_mac]), TimeSlotChannels.stack([ch_bc])
+    problem = SlotProblem.from_draws(cfg, bc, mac, np.zeros(1))
+    design = design_slot_batch(problem)
+    noise = np.sqrt(cfg.sigma_n_sq_r) * np.eye(design.z.shape[-1])[None]  # fresh relay noise, no leak
+    no_error = np.zeros((1, cfg.n_s, cfg.n_s), dtype=complex)
+    reduced = problem.reduced()[0]
+    rates = 0.5 * _batch_rates(reduced, no_error, no_error, noise, design.z, design.alpha, design.r)
+    return SlotMetrics.from_rates(ch_bc.slot_index, "half_duplex", design.j[0], rates[0])
 
 
 def duplex_mode_select(fd_rate: float, hd_rate: float) -> str:

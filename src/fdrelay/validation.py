@@ -70,8 +70,6 @@ class SignalChainEnsemble:
     n_samples: int
     x1_prev: np.ndarray
     x2_prev: np.ndarray
-    x1_t: np.ndarray
-    x2_t: np.ndarray
     x_r_t: np.ndarray
     si_prev: np.ndarray
     y_hat_1: np.ndarray
@@ -172,8 +170,6 @@ def simulate_signal_chain(
         n_samples=n,
         x1_prev=x1_prev,
         x2_prev=x2_prev,
-        x1_t=x1_t,
-        x2_t=x2_t,
         x_r_t=x_r_t,
         si_prev=si,
         y_hat_1=y_hat[0],

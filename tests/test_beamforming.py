@@ -508,7 +508,8 @@ def test_designs_lie_in_the_outbound_channels_row_space(n_r):
     for snr_db, inr_db in ((10.0, 0.0), (50.0, -20.0)):
         cfg = config_from_snr_inr(snr_db, inr_db, n_s=2, n_r=n_r)
         problem, _ = _stacked_problem(cfg, 41, size, np.zeros(size))
-        f_bar = design_slot_batch(problem).f_bar
+        design = design_slot_batch(problem)
+        f_bar = np.stack([design.solution(k, cfg).f_bar for k in range(size)])
         h_out = problem.h.reshape(size, -1, n_r)
         h_in = np.concatenate([problem.h_1r_prev, problem.h_2r_prev], axis=2)
         inside = np.linalg.pinv(h_out) @ h_out @ f_bar @ h_in @ np.linalg.pinv(h_in)

@@ -81,7 +81,7 @@ def test_memory_window_prefix_equals_infinite_memory(snr_db, inr_db, memory):
     assert np.array_equal(windowed.sum_mse[prefix], full.sum_mse[prefix])
     assert np.array_equal(windowed.rates[prefix], full.rates[prefix])
     for dw, df in zip(windowed.designs[prefix], full.designs[prefix]):
-        for name in ("f_bar", "alpha", "r"):
+        for name in ("z", "q", "p", "alpha", "r"):
             assert np.array_equal(getattr(dw, name), getattr(df, name))
     # slot m+2 is where they part
     assert not np.array_equal(windowed.sum_mse[memory + 1], full.sum_mse[memory + 1])

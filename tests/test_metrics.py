@@ -141,20 +141,21 @@ def test_rate_accumulates_realized_error_chains():
 
 
 def test_half_duplex_is_half_of_error_free_full_rate():
-    cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=3)
-    ch0, ch1 = _two_slots(cfg, 4)
-    hd = half_duplex_reference(ch0, ch1, cfg)
-
-    cfg0 = cfg.without_loopback_error()
-
     def zero_error(ch):
         return replace(ch, **{name: np.zeros_like(getattr(ch, name)) for name in ("delta_11", "delta_22", "delta_rr")})
 
-    mac, bc = zero_error(ch0), zero_error(ch1)
-    sol = alternate_optimize(bc, mac, ResidualSICovariance.zero(3), cfg0)
-    full = achievable_sum_rate([mac, bc], [sol.f], sol, cfg0)
-    assert hd.sum_rate == pytest.approx(0.5 * full.sum_rate, rel=1e-12)
-    assert hd.scheme == "half_duplex"
+    # at n_r = 5 > 2 n_s the reference rates on the equivalent 2 n_s-antenna problem, the full rate in n_r coordinates
+    for n_r in (3, 5):
+        cfg = config_from_snr_inr(5.0, 0.0, n_s=2, n_r=n_r)
+        ch0, ch1 = _two_slots(cfg, 4)
+        hd = half_duplex_reference(ch0, ch1, cfg)
+
+        cfg0 = cfg.without_loopback_error()
+        mac, bc = zero_error(ch0), zero_error(ch1)
+        sol = alternate_optimize(bc, mac, ResidualSICovariance.zero(n_r), cfg0)
+        full = achievable_sum_rate([mac, bc], [sol.f], sol, cfg0)
+        assert hd.sum_rate == pytest.approx(0.5 * full.sum_rate, rel=1e-12), n_r
+        assert hd.scheme == "half_duplex"
 
 
 def test_half_duplex_rate_vanishes_at_low_snr():

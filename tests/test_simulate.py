@@ -131,9 +131,10 @@ def test_stacked_slot_designs_equal_one_slot_designs(monkeypatch, scheme, realiz
         assert np.array_equal(batch.sum_rate[:, r], np.stack(single.rates).sum(axis=-1)[:, 0])
         for k in range(slots):
             assert np.array_equal(state.rates[k][r], single.rates[k][0])
-            for name in ("f_bar", "alpha", "r", "iterations_used", "j", "j_trace"):
-                assert np.array_equal(getattr(state.designs[k], name)[r], getattr(single.designs[k], name)[0],
-                                      equal_nan=True), (k, name)
+            for name in ("z", "q", "p", "alpha", "r", "iterations_used", "j", "j_trace"):
+                batched, alone = getattr(state.designs[k], name), getattr(single.designs[k], name)
+                assert (batched is None and alone is None) or np.array_equal(batched[r], alone[0],
+                                                                             equal_nan=True), (k, name)
 
 
 def _rates_per_receiver(problem, delta_11, delta_22, core_factor, f_bar, alpha, r):
