@@ -32,7 +32,7 @@ Tang and Hua, IEEE Trans. Signal Process. 57(12), 2009).
 bases Q and P; :meth:`BatchDesign.solution` lifts one realization's
 F_bar = Q Z P^H.  Its relay system has (2 n_s)^2 unknowns whatever n_r is, and
 keeps no directions in which only the noise term acts.  With n_r <= 2 n_s
-the reduction is the identity.
+the reduction is the identity: the problem itself, with identity bases.
 
 Both steps and the sum MSE exist once, batched over realizations, in
 :class:`SlotProblem` and :class:`RelaySystem`; the per-realization functions
@@ -149,7 +149,6 @@ class BeamformingSolution:
     f_bar: np.ndarray
     alpha: float
     f: np.ndarray
-    lam: float
     r1: np.ndarray
     r2: np.ndarray
     j_value: float
@@ -263,10 +262,9 @@ def _hessian_index(n_s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _replace_rows(stack, rows):
-    """``stack``, a dataclass of per-realization arrays (and possibly ``cfg`` and None),
+    """``stack``, a dataclass of per-realization arrays (and possibly ``cfg``),
     with each array field replaced by ``rows(name)``."""
-    return replace(stack, **{f.name: rows(f.name) for f in fields(stack)
-                             if f.name != "cfg" and getattr(stack, f.name) is not None})
+    return replace(stack, **{f.name: rows(f.name) for f in fields(stack) if f.name != "cfg"})
 
 
 @dataclass
@@ -274,30 +272,30 @@ class BatchDesign:
     """Per-slot designs of a stack of realizations (leading axis).
 
     ``z`` is on the equivalent problem of :meth:`SlotProblem.reduced`, with
-    bases ``q``, ``p`` (or None); ``j_trace`` has one column per iteration
-    (column 0 is the projected identity start), NaN after a realization's exit.
+    the bases ``q``, ``p`` that lift it (identities when n_r <= 2 n_s);
+    ``j_trace`` has one column per iteration (column 0 is the identity
+    start), NaN after a realization's exit.
     """
 
     z: np.ndarray
-    q: np.ndarray | None
-    p: np.ndarray | None
+    q: np.ndarray
+    p: np.ndarray
     alpha: np.ndarray
     r: np.ndarray  # (R, 2, n_s, n_s): R_1, R_2
     j: np.ndarray
     iterations_used: np.ndarray
     j_trace: np.ndarray
 
-    def solution(self, index: int, cfg: SystemConfig) -> BeamformingSolution:
+    def solution(self, index: int) -> BeamformingSolution:
         """Realization ``index`` as a :class:`BeamformingSolution`, its steering matrix lifted to
         F_bar = Q Z P^H."""
-        q, p = (None, None) if self.q is None else (self.q[index], self.p[index])
-        f_bar, alpha, r = _lift(self.z[index], q, p), float(self.alpha[index]), self.r[index]
+        f_bar = _lift(self.z[index], self.q[index], self.p[index])
+        alpha, r = float(self.alpha[index]), self.r[index]
         used = int(self.iterations_used[index])
         return BeamformingSolution(
             f_bar=f_bar,
             alpha=alpha,
             f=alpha * f_bar,
-            lam=float(_w_f(np.array(cfg.nu), r)) / (alpha**2 * (cfg.n_r * cfg.pr)),
             r1=r[0],
             r2=r[1],
             j_value=float(self.j[index]),
@@ -381,9 +379,9 @@ class SlotProblem:
         vars(sub).pop("_reduction", None)  # the parent's, for all its rows
         return sub
 
-    def reduced(self) -> tuple["SlotProblem", np.ndarray | None, np.ndarray | None]:
+    def reduced(self) -> tuple["SlotProblem", np.ndarray, np.ndarray]:
         """The equivalent problem on 2 n_s relay antennas, and the bases Q, P (R, n_r, 2 n_s) that lift
-        its steering matrices Z to F_bar = Q Z P^H; with n_r <= 2 n_s, this problem and no bases.
+        its steering matrices Z to F_bar = Q Z P^H; with n_r <= 2 n_s, this problem and identity bases.
 
         From the reduced QRs [H_r1; H_r2]^H = Q T and [H_1r H_2r] = P U, both
         n_r x 2 n_s and taken in one call, its outbound channels H_rl Q are
@@ -393,7 +391,10 @@ class SlotProblem:
         system at Z are this problem's at Q Z P^H.  Householder Q and P span
         the ranges also when a stack is rank-deficient.  Computed once per problem.
         """
-        return (self, None, None) if self.cfg.n_r <= 2 * self.cfg.n_s else self._reduction
+        if self.cfg.n_r > 2 * self.cfg.n_s:
+            return self._reduction
+        eye = np.broadcast_to(np.eye(self.cfg.n_r), (len(self.h), self.cfg.n_r, self.cfg.n_r))
+        return self, eye, eye
 
     @cached_property
     def _reduction(self) -> tuple["SlotProblem", np.ndarray, np.ndarray]:
@@ -408,7 +409,8 @@ class SlotProblem:
     def amplification(self, f_bar: np.ndarray) -> np.ndarray:
         """alpha meeting tr(F G_r F^H) = n_r p_r for ``f_bar`` (R, [k,] n_r, n_r): one G_r product per realization."""
         fg = (f_bar.reshape(len(f_bar), -1, f_bar.shape[-1]) @ self.gr).reshape(f_bar.shape)
-        return np.sqrt(self.budget / (fg * f_bar.conj()).real.sum(axis=(-2, -1)))
+        fg *= f_bar.conj()  # in place: at the n_r x n_r identity start this is the largest temporary
+        return np.sqrt(self.budget / fg.real.sum(axis=(-2, -1)))
 
     def wiener(self, f: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form receive matrices R_l = alpha p_lbar (C G_l C^H + nu_l I)^-1 C H_lbar.
@@ -454,21 +456,11 @@ class SlotProblem:
         quad = sum(trace_quad(e[:, l], self.g[:, l]) + self.nu[l] * fro_sq(r[:, l]) for l in (0, 1))
         return self.j_max - cross / alpha + quad / alpha**2
 
-    def identity_objective(self) -> np.ndarray:
-        """:meth:`objective` at F_bar = I / sqrt(n_r) and R_l = I, in O(n_r^2) per realization.
-
-        There alpha^2 = n_r budget / tr G_r and W_f0 = sum_l p_lbar H_rl^H H_lbar^H, so the sum MSE is
-        j_max - (2 / sqrt(n_r)) Re tr W_f0 + (1 / n_r) sum_l tr(H_rl G_l H_rl^H) + n_s (nu_1 + nu_2) / alpha^2.
-        """
-        n_r = self.cfg.n_r
-        alpha_sq = n_r * self.budget / np.trace(self.gr, axis1=1, axis2=2).real
-        cross = (self.h.conj() * self.p_bar_h_bar_h).real.sum(axis=(1, 2, 3))
-        quad = trace_quad(self.h, self.g).sum(axis=1)
-        return self.j_max - 2.0 / math.sqrt(n_r) * cross + (quad / n_r + self.cfg.n_s * self.nu.sum() / alpha_sq)
-
     def _w_f0(self, b: np.ndarray) -> np.ndarray:
-        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl."""
-        return (herm(b) @ self.p_bar_h_bar_h).sum(axis=1)
+        """Desired-signal operator sum_l p_lbar H_rl^H R_l H_lbar^H, from B_l = R_l^H H_rl, summed in place."""
+        w = herm(b[:, 0]) @ self.p_bar_h_bar_h[:, 0]
+        w += herm(b[:, 1]) @ self.p_bar_h_bar_h[:, 1]
+        return w
 
 
 class RelaySystem:
@@ -584,9 +576,9 @@ class RelaySystem:
         return raw, x[:, 1:]
 
 
-def _lift(z: np.ndarray, q: np.ndarray | None, p: np.ndarray | None) -> np.ndarray:
+def _lift(z: np.ndarray, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Steering matrices Q Z P^H of the designs ``z`` of an equivalent problem (see :meth:`SlotProblem.reduced`)."""
-    return z if q is None else q @ z @ herm(p)
+    return q @ z @ herm(p)
 
 
 def _unit(f: np.ndarray) -> np.ndarray:
@@ -633,10 +625,8 @@ class _NewtonModel:
     curvature the plain alternation ignores has rank at most 4 n_s^2.  Steps
     are taken for the blended Hessian (1 - sigma) H + sigma K: sigma = 1 is
     the plain alternation step, sigma = 0 the Newton step; the Woodbury
-    identity reduces each to a 4 n_s^2 real system once K^-1 B is known.
-    The model keeps those systems, D - (1 - sigma) B^T K^-1 B for the
-    candidate weights ``weights`` (R, c), and solves them at each step;
-    :meth:`blended` builds them for other weights.
+    identity reduces each to a 4 n_s^2 real system once K^-1 B is known,
+    D - (1 - sigma) B^T K^-1 B, which :meth:`steps` builds and solves.
     K^-1 is applied by :meth:`RelaySystem.solve`, to the 4 n_s^2 rows of B
     together with W_f0 (the plain step), so the model also carries the
     plain step ``raw``.  Directions along F_bar and i F_bar, which leave J
@@ -647,7 +637,7 @@ class _NewtonModel:
     matrices B e_k as Re <B e_k, u>, in one product.
     """
 
-    def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r, weights):
+    def __init__(self, problem: SlotProblem, system: RelaySystem, f_bar, alpha, r):
         size = len(f_bar)
         self.system = system
         a, rhs = _newton_directions(problem, system, f_bar, alpha, r)
@@ -669,28 +659,22 @@ class _NewtonModel:
         m = self._mixed(self.w)
         m = 0.5 * (m + np.swapaxes(m, 1, 2))
         self._d, self._m = _receive_hessian(a), m
-        self.keep = 1.0 - weights
-        self.blend = self.blended(self.keep)
-
-    def blended(self, keep: np.ndarray) -> np.ndarray:
-        """The blend systems D - ``keep`` B^T K^-1 B (R, c, 4 n_s^2, 4 n_s^2) for weights sigma = 1 - ``keep`` (R, c)."""
-        blend = keep[..., None, None] * self._m[:, None]
-        return np.subtract(self._d[:, None], blend, out=blend)
 
     def _mixed(self, u: np.ndarray) -> np.ndarray:
         """Receive coordinates of B^T u for flattened relay directions u (R, k, n_r^2): one real product."""
         return np.ascontiguousarray(u).view(np.float64) @ self._b
 
-    def steps(self, u: np.ndarray) -> np.ndarray:
+    def steps(self, u: np.ndarray, keep: np.ndarray) -> np.ndarray:
         """Steps -((1 - sigma) H + sigma K)^-1 grad for u = K^-1 grad (R, n_r, n_r).
 
-        Returns (R, c, n_r, n_r), one step per blend system ``blend`` (R, c)
-        of weight sigma = 1 - ``keep``; each system is solved for its one
+        Returns (R, c, n_r, n_r), one step per weight sigma = 1 - ``keep``
+        (R, c).  Each blend system D - keep B^T K^-1 B is solved for its one
         right-hand side, never inverted.
         """
         u_vec = u.reshape(len(u), 1, -1)
-        v = np.linalg.solve(self.blend, self._mixed(u_vec)[..., None])[..., 0]
-        return -(u_vec + self.keep[..., None] * (v @ self.w)).reshape(*self.keep.shape, *u.shape[1:])
+        blend = keep[..., None, None] * self._m[:, None]
+        v = np.linalg.solve(np.subtract(self._d[:, None], blend, out=blend), self._mixed(u_vec)[..., None])[..., 0]
+        return -(u_vec + keep[..., None] * (v @ self.w)).reshape(*keep.shape, *u.shape[1:])
 
 
 def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
@@ -704,10 +688,9 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     more than rounding.
     """
     weights = np.minimum(sigma[:, None] * _SIGMA_FACTORS, 1.0)
-    model = _NewtonModel(problem, RelaySystem(problem, r), f_bar, alpha, r, weights)
-    candidates = np.concatenate([_unit(f_bar[:, None] + model.steps(f_bar - model.raw)),
+    model = _NewtonModel(problem, RelaySystem(problem, r), f_bar, alpha, r)
+    candidates = np.concatenate([_unit(f_bar[:, None] + model.steps(f_bar - model.raw, 1.0 - weights)),
                                  _unit(model.raw)[:, None]], axis=1)
-    model.blend = None  # the candidates' systems, freed before scoring; the winner's is built again below
     c_alpha, c_r, values = problem.receive(candidates)
     values[~np.isfinite(values)] = np.inf
     # Values within rounding of the best count as ties and go to the most
@@ -718,14 +701,13 @@ def _accelerated_iteration(problem: SlotProblem, f_bar, alpha, r, j, sigma):
     # (f_bar, alpha, r, j) of each row's best candidate
     new = candidates[rows, best], c_alpha[rows, best], c_r[rows, best], values[rows, best]
     plain = best == len(_SIGMA_FACTORS)
-    picked = weights[rows, np.minimum(best, len(_SIGMA_FACTORS) - 1)]
-    weight = np.where(plain, 1.0, picked)
-    # chords: the winner's system only
-    model.keep, model.blend = (1.0 - weight)[:, None], model.blended(1.0 - picked[:, None])
+    weight = np.where(plain, 1.0, weights[rows, np.minimum(best, len(_SIGMA_FACTORS) - 1)])
+    # chords: the winner's weight only (keep 0, the plain step -u, where the plain step won)
+    keep = (1.0 - weight)[:, None]
     for _ in range(_CHORD_STEPS):
         new_f, _, new_r, new_j = new
         u = model.system.solve(RelaySystem(problem, new_r).residual(new_f)[:, None])[:, 0]
-        trial = _unit(new_f + model.steps(u)[:, 0])
+        trial = _unit(new_f + model.steps(u, keep)[:, 0])
         scored = (trial,) + problem.receive(trial)
         better = scored[3] <= new_j + slack
         if not better.any():
@@ -769,12 +751,13 @@ def design_slot_batch(problem: SlotProblem, pin_receive: bool = False) -> BatchD
     :meth:`SlotProblem.reduced`, and the design is returned there: Z with
     the bases Q and P that lift it to F_bar = Q Z P^H.
     """
-    cfg, n_s = problem.cfg, problem.cfg.n_s
+    cfg, n_s, n_r = problem.cfg, problem.cfg.n_s, problem.cfg.n_r
     size = problem.h.shape[0]
     tol = cfg.convergence_tol
     r = np.broadcast_to(np.eye(n_s, dtype=complex), (size, 2, n_s, n_s)).copy()
     j_trace = np.full((size, cfg.max_iterations + 1), np.nan)
-    j_trace[:, 0] = problem.identity_objective()
+    start = np.broadcast_to(np.eye(n_r) / math.sqrt(n_r), (size, n_r, n_r))
+    j_trace[:, 0] = problem.objective(start, problem.amplification(start), r)
 
     problem, q, p = problem.reduced()
     f_bar = _unit(RelaySystem(problem, r).solve_stationarity()[0])
@@ -834,4 +817,4 @@ def alternate_optimize(
     """
     problem = SlotProblem.from_draws(cfg, TimeSlotChannels.stack([ch_t]), TimeSlotChannels.stack([ch_prev]),
                                      np.array([g_c.scale]))
-    return design_slot_batch(problem, pin_receive).solution(0, cfg)
+    return design_slot_batch(problem, pin_receive).solution(0)

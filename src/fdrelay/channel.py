@@ -69,14 +69,14 @@ class SystemConfig:
         if self.n_s < 1 or self.n_r < 1:
             raise ValueError("antenna counts must be >= 1")
         for name in ("p1", "p2", "pr"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         for name in (
             "sigma_n_sq_1", "sigma_n_sq_2", "sigma_n_sq_r",
             "sigma_e_sq_1", "sigma_e_sq_2", "sigma_e_sq_r",
         ):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
         check_memory(self.memory)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")

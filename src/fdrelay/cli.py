@@ -9,9 +9,13 @@ Values from a ``--config`` JSON file override command-line flags; the default
 seed can be set through the FDRELAY_SEED environment variable.
 
 Exit codes: 0 when every grid point (or oracle check) succeeds, 1 when one
-fails (the others are still run and written), 2 for a usage error such as an
-unknown flag or an invalid sweep value, which stops before anything runs and
-prints one error line on stderr.
+fails (the others are still run and written), 2 for a usage error, which
+stops before anything runs and prints one error line on stderr: an unknown
+flag, an invalid sweep value (a NaN or infinite noise or loopback-error
+variance, a negative seed, ...), an unreadable ``--config`` file, an
+``--out`` path that is a directory or whose directory is missing or not
+writable, or a ``validate`` run with a negative or non-integer seed or
+fewer than one draw.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ def _spec_from_args(args) -> SweepSpec:
                     raise ValueError(f"unknown config key {key!r}")
                 values[key] = memory_from_str(str(value)) if key == "memory" else value
         return SweepSpec(**values)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         _usage_error(args, str(exc))
 
 
@@ -124,6 +128,8 @@ def _run_sweep_command(args) -> int:
 
 
 def _sweep(args, spec: SweepSpec) -> int:
+    if os.path.isdir(args.out) or not os.access(os.path.dirname(os.path.abspath(args.out)), os.W_OK):
+        _usage_error(args, f"cannot write results to {args.out!r}: a directory, or in a missing or read-only one")
     result = run_sweep(spec, jobs=args.jobs)
     emit_results(result, args.format, args.out)
     print(f"wrote {len(result.records)} records to {args.out}")
@@ -154,8 +160,13 @@ def _run_select_memory_command(args) -> int:
 
 
 def _run_validate_command(args) -> int:
-    checks = run_oracle_suite(seed=_default_seed() if args.seed is None else args.seed,
-                              draws=args.draws)
+    try:
+        seed = _default_seed() if args.seed is None else args.seed
+    except ValueError as exc:
+        _usage_error(args, f"${SEED_ENV_VAR}: {exc}")
+    if seed < 0 or args.draws < 1:
+        _usage_error(args, f"seed must be nonnegative and draws at least 1, got seed {seed} and {args.draws} draws")
+    checks = run_oracle_suite(seed=seed, draws=args.draws)
     for check in checks:
         print(check.describe())
     failed = [c for c in checks if not c.passed]

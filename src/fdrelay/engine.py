@@ -253,8 +253,7 @@ class _TrajectoryState:
 
         core = math.sqrt(cfg.sigma_n_sq_r) * np.broadcast_to(np.eye(z.shape[-1]), z.shape)  # fresh relay noise
         if self.leak is not None:  # and the last slot's leak, seen through P; one QR keeps the factor square
-            seen = self.leak if design.p is None else herm(design.p) @ self.leak
-            core = herm(np.linalg.qr(herm(np.concatenate([core, seen], axis=2)), mode="r"))
+            core = herm(np.linalg.qr(herm(np.concatenate([core, herm(design.p) @ self.leak], axis=2)), mode="r"))
         rates = _batch_rates(problem, ch_t.delta_11, ch_t.delta_22, core, z, alpha, r)
         if scheme == "half_duplex":
             rates = 0.5 * rates  # the prelog of the two-phase exchange
@@ -265,7 +264,7 @@ class _TrajectoryState:
         if cfg.sigma_e_sq_r:
             # F [sqrt(p1) H1, sqrt(p2) H2, noise + leak] = Q alpha Z [sqrt(p1) U1, sqrt(p2) U2, core], U_l = P^H H_l
             sent = f @ np.concatenate([math.sqrt(cfg.p1) * h_1r, math.sqrt(cfg.p2) * h_2r, core], axis=2)
-            self.leak = ch_t.delta_rr @ (sent if design.q is None else design.q @ sent)
+            self.leak = ch_t.delta_rr @ (design.q @ sent)
         self.f_norm_sq += (fro_sq(f),)
         self.content_trace += (content_trace(cfg, f, h_1r, h_2r),)
 

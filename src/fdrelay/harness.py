@@ -11,6 +11,7 @@ sweep.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -34,13 +35,6 @@ __all__ = [
     "read_records_csv",
     "read_records_json",
 ]
-
-CSV_COLUMNS = (
-    "snr_db", "inr_db", "scheme", "slot", "m",
-    "mean_sum_mse", "se_sum_mse", "mean_sum_rate", "se_sum_rate",
-    "n_realizations", "m_hat", "seed", "config_hash",
-)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -70,6 +64,8 @@ class SweepSpec:
                 raise ValueError(f"{name} repeats a value: {values}")
         if self.realizations < 1 or self.slots < 1:
             raise ValueError("realizations and slots must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         for snr_db, inr_db in itertools.product(self.snr_db, self.inr_db):
             self.config(snr_db, inr_db)
         unknown = set(self.schemes) - set(SCHEMES)
@@ -111,6 +107,9 @@ class SweepRecord:
     m_hat: str
     seed: int
     config_hash: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRecord))
 
 
 @dataclass
@@ -218,6 +217,14 @@ def _worker_pool(jobs: int) -> "multiprocessing.pool.Pool":
                 os.environ[name] = value
 
 
+def _cell_outcome(task) -> tuple[list[SweepRecord] | None, str | None]:
+    """(records, None) of one :func:`run_grid_point` task, or (None, its error message) if it fails."""
+    try:
+        return run_grid_point(*task), None
+    except Exception as exc:  # noqa: BLE001 - failure isolation per grid point
+        return None, str(exc)
+
+
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
     """Run every (SNR, INR, scheme) cell; record failures without aborting.
 
@@ -231,29 +238,13 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
         for scheme in spec.schemes
     ]
     result = SweepResult()
-
-    def record_outcome(task, outcome, error):
-        _, snr, inr, scheme = task
-        if error is None:
-            result.records.extend(outcome)
-        else:
-            result.failures.append({"snr_db": snr, "inr_db": inr, "scheme": scheme, "error": str(error)})
-
-    if jobs <= 1:
-        for task in tasks:
-            try:
-                record_outcome(task, run_grid_point(*task), None)
-            except Exception as exc:  # noqa: BLE001 - failure isolation per grid point
-                record_outcome(task, None, exc)
-        return result
-
-    with _worker_pool(jobs) as pool:
-        pending = [pool.apply_async(run_grid_point, task) for task in tasks]
-        for task, outcome in zip(tasks, pending):
-            try:
-                record_outcome(task, outcome.get(), None)
-            except Exception as exc:  # noqa: BLE001
-                record_outcome(task, None, exc)
+    with _worker_pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        outcomes = map(_cell_outcome, tasks) if pool is None else pool.imap(_cell_outcome, tasks)
+        for (_, snr, inr, scheme), (records, error) in zip(tasks, outcomes):
+            if error is None:
+                result.records.extend(records)
+            else:
+                result.failures.append({"snr_db": snr, "inr_db": inr, "scheme": scheme, "error": error})
     return result
 
 

@@ -22,12 +22,12 @@ __all__ = ["SCHEMES", "TrajectoryResult", "run_trajectory"]
 class TrajectoryResult:
     """Per-slot metrics plus the designs and draws that produced them.
 
-    ``solutions`` is empty for the half-duplex scheme: its designs belong to
-    the configuration without loopback error, not to ``cfg``, whose noise
-    and loopback powers a solution's multiplier would read.  For the
-    conventional scheme a solution carries the calibrated amplification and
-    receive matrices, while ``j_value``, ``j_trace`` and ``iterations_used``
-    describe the design on its own (zero residual-SI) model.
+    ``solutions`` holds one design per slot for every scheme.  The
+    half-duplex designs belong to ``cfg`` without loopback error, on which
+    that scheme runs.  For the conventional scheme a solution carries the
+    calibrated amplification and receive matrices, while ``j_value``,
+    ``j_trace`` and ``iterations_used`` describe the design on its own (zero
+    residual-SI) model.
     """
 
     metrics: tuple[SlotMetrics, ...]
@@ -51,9 +51,8 @@ def run_trajectory(
     state = _run_trajectories(cfg, scheme, slots, seed, [realization])
     metrics = tuple(SlotMetrics.from_rates(t, scheme, sum_mse[0], rates[0])
                     for t, (sum_mse, rates) in enumerate(zip(state.sum_mse, state.rates), start=1))
-    solutions = () if scheme == "half_duplex" else tuple(d.solution(0, cfg) for d in state.designs)
     return TrajectoryResult(
         metrics=metrics,
-        solutions=solutions,
+        solutions=tuple(d.solution(0) for d in state.designs),
         channels=tuple(ch.realization(0) for ch in state.channels),
     )

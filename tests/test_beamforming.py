@@ -374,13 +374,13 @@ def _kronecker_relay_system(cfg, ch1, ch0, g_c_scale, r, q=None, p=None):
 def _reduction(problem):
     """The equivalent problem the design runs on and its bases Q, P (F_bar = Q Z P^H), checked to be
     orthonormal bases of range([H_r1; H_r2]^H) and range([H_1r H_2r]) that give the equivalent
-    problem's channels and keep the power budget; identities when n_r <= 2 n_s."""
+    problem's channels and keep the power budget; the problem itself and identities when n_r <= 2 n_s."""
     size, n_r, n_s = len(problem.h), problem.cfg.n_r, problem.cfg.n_s
     reduced, q, p = problem.reduced()
     if n_r <= 2 * n_s:
-        assert reduced is problem and q is None and p is None
-        eye = np.broadcast_to(np.eye(n_r), (size, n_r, n_r))
-        return problem, eye, eye
+        assert reduced is problem
+        assert np.array_equal(q, np.broadcast_to(np.eye(n_r), (size, n_r, n_r))) and np.array_equal(p, q)
+        return reduced, q, p
     h_out = problem.h.reshape(size, 2 * n_s, n_r)
     h_in = np.concatenate([problem.h_1r_prev, problem.h_2r_prev], axis=2)
     for basis, h in ((q, _herm(h_out)), (p, h_in)):
@@ -439,9 +439,10 @@ def test_design_working_memory_per_realization(n_r, size, bound_kib):
     # The relay solve's right-hand sides, its result and the Newton directions
     # are the largest arrays of an iteration; they are built and reused in
     # place on the equivalent 2 n_s-antenna problem, which replaces its
-    # subsets as realizations converge, and the identity start is scored
-    # without n_r x n_r temporaries, so a design call holds about 31 KiB per
-    # realization at n_r = 5, 43 KiB at n_r = 16 and 45 KiB at n_r = 32
+    # subsets as realizations converge, and the identity start, scored on
+    # the n_r-antenna problem, forms its largest products in place, so a
+    # design call holds about 31 KiB per realization at n_r = 5, 44 KiB at
+    # n_r = 16 and 47 KiB at n_r = 32
     # (32 and 110 KiB at n_r = 5 and 16 with 2 n_s x n_r unknowns, 38 and
     # 353 KiB with n_r x n_r).
     cfg = config_from_snr_inr(5.0, 10.0, n_s=2, n_r=n_r)
@@ -509,7 +510,7 @@ def test_designs_lie_in_the_outbound_channels_row_space(n_r):
         cfg = config_from_snr_inr(snr_db, inr_db, n_s=2, n_r=n_r)
         problem, _ = _stacked_problem(cfg, 41, size, np.zeros(size))
         design = design_slot_batch(problem)
-        f_bar = np.stack([design.solution(k, cfg).f_bar for k in range(size)])
+        f_bar = np.stack([design.solution(k).f_bar for k in range(size)])
         h_out = problem.h.reshape(size, -1, n_r)
         h_in = np.concatenate([problem.h_1r_prev, problem.h_2r_prev], axis=2)
         inside = np.linalg.pinv(h_out) @ h_out @ f_bar @ h_in @ np.linalg.pinv(h_in)
@@ -649,13 +650,27 @@ def test_stack_of_one_problem_is_that_problem():
 @pytest.mark.parametrize("n_s", [1, 2])
 @pytest.mark.parametrize("n_r", [2, 3, 5, 12, 32])
 def test_identity_objective_is_the_objective_at_the_identity_start(n_s, n_r):
-    cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=n_r)
-    size = 3
-    problem, _ = _stacked_problem(cfg, 41, size, [0.2, 1.1, 3.0])
-    f_bar = np.broadcast_to(np.eye(n_r) / np.sqrt(n_r), (size, n_r, n_r)).astype(complex)
-    r = np.broadcast_to(np.eye(n_s, dtype=complex), (size, 2, n_s, n_s))
-    reference = problem.objective(f_bar, problem.amplification(f_bar), r)
-    assert np.max(np.abs(problem.identity_objective() / reference - 1.0)) <= 1e-13
+    # A design's trace starts at F_bar = I / sqrt(n_r), R_l = I, on the configured problem.  There
+    # alpha^2 = n_r budget / tr G_r and W_f0 = sum_l p_lbar H_rl^H H_lbar^H, so the sum MSE is
+    # j_max - (2 / sqrt(n_r)) Re tr W_f0 + (1 / n_r) sum_l tr(H_rl G_l H_rl^H) + n_s (nu_1 + nu_2) / alpha^2.
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=n_s, n_r=n_r, max_iterations=1)
+    problem, _ = _stacked_problem(cfg, 41, 3, [0.2, 1.1, 3.0])
+    alpha_sq = n_r * problem.budget / np.trace(problem.gr, axis1=1, axis2=2).real
+    cross = (problem.h.conj() * problem.p_bar_h_bar_h).real.sum(axis=(1, 2, 3))
+    quad = np.einsum("rlij,rljk,rlik->r", problem.h, problem.g, problem.h.conj()).real
+    reference = problem.j_max - 2.0 / np.sqrt(n_r) * cross + quad / n_r + n_s * problem.nu.sum() / alpha_sq
+    assert np.max(np.abs(design_slot_batch(problem).j_trace[:, 0] / reference - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("n_r", [2, 3, 4])
+def test_identity_bases_lift_designs_unchanged(n_r):
+    # n_r <= 2 n_s: the design runs on the problem itself, and its identity bases change no bit of it
+    cfg = config_from_snr_inr(10.0, 5.0, n_s=2, n_r=n_r)
+    problem, _ = _stacked_problem(cfg, 47, 3, [0.0, 0.4, 1.2])
+    design = design_slot_batch(problem)
+    assert design.q.shape == design.p.shape == (3, n_r, n_r)
+    for k in range(3):
+        assert np.array_equal(design.solution(k).f_bar, design.z[k])
 
 
 @pytest.mark.parametrize("n_s, n_r", [(1, 3), (2, 5), (2, 12)])
@@ -769,15 +784,16 @@ def test_design_kernels_match_their_reference_formulas(n_s, size):
     assert _relative_error(system.apply(x), k_x) <= 1e-12
     assert _relative_error(system.residual(x[:, 0]), k_x[:, 0] - w_f0) <= 1e-12
 
-    weights = rng.uniform(0.01, 1.0, (size, 3))
-    model = beamforming._NewtonModel(problem, system, f_bar, alpha, r, weights)
+    keep = 1.0 - rng.uniform(0.01, 1.0, (size, 3))
+    model = beamforming._NewtonModel(problem, system, f_bar, alpha, r)
     u_rows = crandn(rng, size, 5, n_r * n_r)
     assert _vector_error(model._mixed(u_rows), _reference_mixed(problem, f_bar, r, u_rows)) <= 1e-12
     u = crandn(rng, size, n_r, n_r)
     u_vec = u.reshape(size, 1, -1)
-    v = (np.linalg.inv(model.blend) @ model._mixed(u_vec)[..., None])[..., 0]
-    steps = -(u_vec + model.keep[..., None] * (v @ model.w)).reshape(size, 3, n_r, n_r)
-    assert _relative_error(model.steps(u), steps) <= 1e-10
+    blend = model._d[:, None] - keep[..., None, None] * model._m[:, None]
+    v = (np.linalg.inv(blend) @ model._mixed(u_vec)[..., None])[..., 0]
+    steps = -(u_vec + keep[..., None] * (v @ model.w)).reshape(size, 3, n_r, n_r)
+    assert _relative_error(model.steps(u, keep), steps) <= 1e-10
 
 
 @pytest.mark.parametrize("n_s", [1, 2])

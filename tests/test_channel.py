@@ -37,8 +37,10 @@ def test_inr_minus_infinity_turns_errors_off():
 
 @pytest.mark.parametrize("name", ["pr", "sigma_n_sq_r", "sigma_e_sq_1", "convergence_tol"])
 def test_nan_config_values_are_rejected(name):
-    with pytest.raises(ValueError, match=name):
-        SystemConfig(n_s=1, n_r=2, **{name: math.nan})
+    # powers and variances must also be finite; an infinite tolerance stops a design after one iteration
+    for value in (math.nan,) if name == "convergence_tol" else (math.nan, math.inf):
+        with pytest.raises(ValueError, match=name):
+            SystemConfig(n_s=1, n_r=2, **{name: value})
 
 
 def test_config_validation():

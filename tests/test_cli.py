@@ -126,6 +126,18 @@ def test_validate_command(capsys):
     assert "oracle checks passed" in out
 
 
+@pytest.mark.parametrize("argv, seed_env", [(["--seed", "-1"], None), (["--draws", "0"], None), ([], "abc")])
+def test_validate_bad_input_is_a_usage_error(monkeypatch, capsys, argv, seed_env):
+    if seed_env is not None:
+        monkeypatch.setenv("FDRELAY_SEED", seed_env)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", *argv])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("fdrelay validate: error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_memory_flag_accepts_inf_and_auto(tmp_path):
     out = tmp_path / "m.csv"
     code = main([
@@ -142,20 +154,25 @@ _BAD_VALUES = (["--memory", "0"], ["--scheme", "nope"], ["--realizations", "0"],
                ["--iterations", "0"], ["--nr", "0"])
 # An empty scheme list and a repeated value; their cases follow all of the above, so those keep their ids.
 _EMPTY_OR_REPEATED = (["--scheme", ","], ["--snr-db", "0,0"])
+# A negative seed, a config file that cannot be read, an output file in a missing directory and an output
+# path that is a directory; after the above too.
+_MISSING = os.path.join(os.sep, "nonexistent")
+_SEED_OR_PATH = (["--seed", "-1"], ["--config", os.path.join(_MISSING, "c.json")],
+                 ["--out", os.path.join(_MISSING, "r.csv")], ["--out", os.sep])
 
 
 @pytest.mark.parametrize("command, bad", [
-    (command, bad) for values in (_BAD_VALUES, _EMPTY_OR_REPEATED)
+    (command, bad) for values in (_BAD_VALUES, _EMPTY_OR_REPEATED, _SEED_OR_PATH)
     for command in ("sweep", "trajectory", "select-memory") for bad in values
-    if command != "select-memory" or bad[0] not in ("--scheme", "--memory")  # flags select-memory lacks
+    if command != "select-memory" or bad[0] not in ("--scheme", "--memory", "--out")  # flags select-memory lacks
 ])
 def test_bad_spec_value_is_a_usage_error(tmp_path, capsys, command, bad):
     out = tmp_path / "r.csv"
-    argv = [command, "--snr-db", "0", "--inr-db", "0", *bad]
+    argv = [command, "--snr-db", "0", "--inr-db", "0"]
     if command != "select-memory":
         argv += ["--out", str(out)]
     with pytest.raises(SystemExit) as excinfo:
-        main(argv)
+        main(argv + bad)
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"fdrelay {command}: error: ") and err.count("\n") == 1
@@ -164,14 +181,16 @@ def test_bad_spec_value_is_a_usage_error(tmp_path, capsys, command, bad):
 
 @pytest.mark.parametrize("flag", ["--snr-db", "--inr-db"])
 def test_nan_grid_value_is_a_usage_error(tmp_path, capsys, flag):
-    # every grid value is checked before anything runs, not only the first
+    # every grid value is checked before anything runs, not only the first; SNR -inf dB and
+    # INR inf dB give an infinite noise or loopback-error variance
     out = tmp_path / "r.csv"
-    with pytest.raises(SystemExit) as excinfo:
-        main(["sweep", "--snr-db", "0", "--inr-db", "0", flag, "0,nan", "--out", str(out)])
-    assert excinfo.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("fdrelay sweep: error: ") and err.count("\n") == 1
-    assert not out.exists()
+    for grid in ("0,nan", "0,-inf" if flag == "--snr-db" else "0,inf"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--snr-db", "0", "--inr-db", "0", flag, grid, "--out", str(out)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fdrelay sweep: error: ") and err.count("\n") == 1, grid
+        assert not out.exists()
 
 
 def test_exit_codes_through_the_module(tmp_path):

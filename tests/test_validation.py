@@ -41,7 +41,7 @@ def test_signal_chain_noise_only_when_relay_silent(rng):
     traj = run_trajectory(cfg, "proposed", slots=1, seed=0, realization=0)
     solution = traj.solutions[0]
     silent = type(solution)(
-        f_bar=np.zeros((2, 2)), alpha=1.0, f=np.zeros((2, 2)), lam=0.0,
+        f_bar=np.zeros((2, 2)), alpha=1.0, f=np.zeros((2, 2)),
         r1=solution.r1, r2=solution.r2, j_value=0.0, iterations_used=0,
     )
     ens = simulate_signal_chain(traj.channels, [silent], cfg, rng, 20_000)

@@ -1,4 +1,4 @@
-"""Run the four fixed sweeps, print each output's sha256, and compare them with another run.
+"""Run the five fixed sweeps, print each output's sha256, and compare them with another run.
 
     python tools/fixed_sweeps.py --out DIR [--src SRC] [--against DIR]
 
@@ -14,9 +14,14 @@ simulator's numbers (seed 7, every scheme, design memory inf, 2 and auto):
     deep.csv          --snr-db 0,20 --inr-db=-inf,10
                       --scheme proposed,conventional,half_duplex
                       --slots 10 --realizations 8 --seed 7 --memory inf
+    narrow.csv        --ns 2 --nr 4 --snr-db 0,20 --inr-db=-5,10
+                      --scheme proposed,conventional,relay_only,half_duplex
+                      --slots 4 --realizations 6 --seed 7 --memory 2
 
 ``deep.csv`` pins half duplex beyond slot 3 and runs without loopback
-error (INR -inf dB, so sigma_e = 0).
+error (INR -inf dB, so sigma_e = 0).  The others run at n_r = 5 > 2 n_s,
+where each slot is designed on a reduced problem; ``narrow.csv`` runs at
+n_r = 2 n_s, where the reduction is the identity.
 
 Each sweep runs in its own process on the package under SRC (default: this
 repository's ``src``) with every BLAS pool pinned to one thread, so the bytes
@@ -46,6 +51,9 @@ SWEEPS = {
                  "--slots", "10", "--realizations", "20", "--seed", "7", "--memory", "auto"],
     "deep.csv": ["--snr-db", "0,20", "--inr-db=-inf,10", "--scheme", "proposed,conventional,half_duplex",
                  "--slots", "10", "--realizations", "8", "--seed", "7", "--memory", "inf"],
+    "narrow.csv": ["--ns", "2", "--nr", "4", "--snr-db", "0,20", "--inr-db=-5,10",
+                   "--scheme", "proposed,conventional,relay_only,half_duplex",
+                   "--slots", "4", "--realizations", "6", "--seed", "7", "--memory", "2"],
 }
 NUMERIC = ("mean_sum_mse", "se_sum_mse", "mean_sum_rate", "se_sum_rate")
 _ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -94,7 +102,7 @@ def compare(out: Path, against: Path) -> bool:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True, help="directory for the four CSV files")
+    parser.add_argument("--out", type=Path, required=True, help="directory for the five CSV files")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
                         help="directory holding the fdrelay package to run")
     parser.add_argument("--against", type=Path, default=None, help="directory of an earlier run to compare with")
